@@ -7,7 +7,6 @@ import (
 	"repro/internal/llsc"
 	"repro/internal/shmem"
 	"repro/internal/sortnet"
-	"repro/internal/splitter"
 	"repro/internal/tas"
 )
 
@@ -37,9 +36,9 @@ func E15Ablations(cfg Config) *Table {
 		sweep func(cfg Config, k int) func(seed uint64) (st *shmem.Stats, ok bool, comps uint64)
 	}
 	variants := []variant{
-		{"renaming/base=oem", renamingSweep(sortnet.BaseOEM, poolMaker)},
-		{"renaming/base=balanced", renamingSweep(sortnet.BaseBalanced, poolMaker)},
-		{"renaming/tas=hardware", renamingSweep(sortnet.BaseOEM, unitMaker)},
+		{"renaming/base=oem", renamingSweep(sortnet.BaseOEM, tas.MakeTwoProc)},
+		{"renaming/base=balanced", renamingSweep(sortnet.BaseBalanced, tas.MakeTwoProc)},
+		{"renaming/tas=hardware", renamingSweep(sortnet.BaseOEM, tas.MakeUnit)},
 		{"ratrace/plain", ratRaceSweep(false)},
 		{"ratrace/fastpath", ratRaceSweep(true)},
 	}
@@ -88,7 +87,7 @@ func E16Wakeup(cfg Config) *Table {
 		ones := -1
 		got := 0
 		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			sa := core.NewStrongAdaptive(mem, splitter.NewTree(mem), llsc.MakeCompiled)
+			sa := core.CompileStrongAdaptive(sortnet.BaseOEM).Instantiate(mem, llsc.MakeCompiled)
 			w := core.NewWakeup(mem, k, sa)
 			return func(p shmem.Proc) {
 				got += w.Wake(p, uint64(p.ID())+1) // serialized by the simulator
@@ -111,11 +110,11 @@ func E16Wakeup(cfg Config) *Table {
 
 // renamingSweep builds the compile-once/reset-many runner for one strong
 // adaptive renaming variant at one contention level.
-func renamingSweep(base sortnet.Base, mkFor func(shmem.Mem) tas.SidedMaker) func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
+func renamingSweep(base sortnet.Base, mk tas.SidedMaker) func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
 	return func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
 		names := make([]uint64, k)
 		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			sa := core.NewStrongAdaptiveWithBase(mem, splitter.NewTree(mem), mkFor(mem), base)
+			sa := core.CompileStrongAdaptive(base).Instantiate(mem, mk)
 			return func(p shmem.Proc) {
 				names[p.ID()] = sa.Rename(p, uint64(p.ID())+1)
 			}, sa.Reset
@@ -127,11 +126,6 @@ func renamingSweep(base sortnet.Base, mkFor func(shmem.Mem) tas.SidedMaker) func
 	}
 }
 
-// poolMaker and unitMaker adapt the TAS flavors to the per-runtime
-// maker-factory shape of renamingSweep (hardware TAS needs no pooling).
-func poolMaker(mem shmem.Mem) tas.SidedMaker { return tas.MakeTwoProcPool(mem) }
-func unitMaker(shmem.Mem) tas.SidedMaker     { return tas.MakeUnit }
-
 // ratRaceSweep builds the compile-once/reset-many runner for the RatRace
 // fast-path ablation at one contention level.
 func ratRaceSweep(fast bool) func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
@@ -140,9 +134,9 @@ func ratRaceSweep(fast bool) func(cfg Config, k int) func(uint64) (*shmem.Stats,
 		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			var rr *tas.RatRace
 			if fast {
-				rr = tas.NewRatRaceWithFastPath(mem, tas.MakeTwoProcPool(mem))
+				rr = tas.NewRatRaceWithFastPath(mem, tas.MakeTwoProc)
 			} else {
-				rr = tas.NewRatRace(mem, tas.MakeTwoProcPool(mem))
+				rr = tas.NewRatRace(mem, tas.MakeTwoProc)
 			}
 			return func(p shmem.Proc) {
 				if rr.TestAndSet(p, uint64(p.ID())+1) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/shmem"
 	"repro/internal/sim"
 	"repro/internal/sortnet"
-	"repro/internal/splitter"
 	"repro/internal/tas"
 )
 
@@ -125,7 +124,7 @@ func E1BitBatching(cfg Config) *Table {
 	for _, n := range sizes {
 		var probes, steps, total, totalTAS agg
 		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			bb := core.NewBitBatching(mem, n, tas.MakeTwoProcPool(mem))
+			bb := core.NewBitBatching(mem, n, tas.MakeTwoProc)
 			return func(p shmem.Proc) { bb.Rename(p, uint64(p.ID())+1) }, bb.Reset
 		})
 		for seed := 0; seed < cfg.Seeds; seed++ {
@@ -204,7 +203,7 @@ func E5RenamingNetwork(cfg Config) *Table {
 			tight := true
 			names := make([]uint64, k)
 			sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-				rn := core.NewRenamingNetwork(mem, net, tas.MakeTwoProcPool(mem))
+				rn := core.NewRenamingNetwork(mem, net, tas.MakeTwoProc)
 				return func(p shmem.Proc) {
 					names[p.ID()] = rn.Rename(p, uint64(p.ID()*m/k)+1)
 				}, rn.Reset
@@ -277,7 +276,7 @@ func E8StrongAdaptive(cfg Config) *Table {
 		tight := true
 		names := make([]uint64, k)
 		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			sa := core.NewStrongAdaptive(mem, splitter.NewTree(mem), tas.MakeTwoProcPool(mem))
+			sa := core.CompileStrongAdaptive(sortnet.BaseOEM).Instantiate(mem, tas.MakeTwoProc)
 			return func(p shmem.Proc) {
 				names[p.ID()] = sa.Rename(p, uint64(p.ID())+1)
 			}, sa.Reset
@@ -331,7 +330,7 @@ func E9LowerBound(cfg Config) *Table {
 	for _, k := range ks {
 		var mean agg
 		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			sa := core.NewStrongAdaptive(mem, splitter.NewTree(mem), tas.MakeTwoProcPool(mem))
+			sa := core.CompileStrongAdaptive(sortnet.BaseOEM).Instantiate(mem, tas.MakeTwoProc)
 			return func(p shmem.Proc) { sa.Rename(p, uint64(p.ID())+1) }, sa.Reset
 		})
 		for seed := 0; seed < cfg.Seeds; seed++ {
@@ -370,7 +369,7 @@ func E10Counter(cfg Config) *Table {
 		var incs, reads []core.Interval
 		var incSteps, readSteps agg
 		csw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			c := core.NewMonotoneCounter(mem, tas.MakeTwoProcPool(mem))
+			c := core.NewMonotoneCounter(mem, tas.MakeTwoProc)
 			return func(p shmem.Proc) {
 				for i := 0; i < sh.each; i++ {
 					s0, t0 := p.Now(), stepsOf(p)
@@ -464,7 +463,7 @@ func E12LTAS(cfg Config) *Table {
 		var steps agg
 		ops := make([]core.Interval, sh.k)
 		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			o := core.NewLTestAndSet(mem, sh.ell, tas.MakeTwoProcPool(mem))
+			o := core.NewLTestAndSet(mem, sh.ell, tas.MakeTwoProc)
 			return func(p shmem.Proc) {
 				s0 := p.Now()
 				v := uint64(0)
@@ -516,7 +515,7 @@ func E13FetchInc(cfg Config) *Table {
 		linearizable := true
 		var ops []core.Interval
 		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			f := core.NewFetchInc(mem, sh.m, tas.MakeTwoProcPool(mem))
+			f := core.NewFetchInc(mem, sh.m, tas.MakeTwoProc)
 			return func(p shmem.Proc) {
 				s0 := p.Now()
 				v := f.Inc(p)
@@ -560,15 +559,15 @@ func E14Baselines(cfg Config) *Table {
 		adObjects, bbObjects := 0, 0
 		var sa *core.StrongAdaptive
 		adSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			sa = core.NewStrongAdaptive(mem, splitter.NewTree(mem), tas.MakeTwoProcPool(mem))
+			sa = core.CompileStrongAdaptive(sortnet.BaseOEM).Instantiate(mem, tas.MakeTwoProc)
 			return func(p shmem.Proc) { sa.Rename(p, uint64(p.ID())+1) }, sa.Reset
 		})
 		lpSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			lp := core.NewLinearProbe(mem, tas.MakeTwoProcPool(mem))
+			lp := core.NewLinearProbe(mem, tas.MakeTwoProc)
 			return func(p shmem.Proc) { lp.Rename(p, uint64(p.ID())+1) }, lp.Reset
 		})
 		bbSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
-			bb := core.NewBitBatching(mem, k, tas.MakeTwoProcPool(mem))
+			bb := core.NewBitBatching(mem, k, tas.MakeTwoProc)
 			return func(p shmem.Proc) { bb.Rename(p, uint64(p.ID())+1) }, bb.Reset
 		})
 		for seed := 0; seed < cfg.Seeds; seed++ {

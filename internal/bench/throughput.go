@@ -11,7 +11,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/shmem"
 	"repro/internal/sortnet"
-	"repro/internal/splitter"
 	"repro/internal/tas"
 )
 
@@ -57,7 +56,7 @@ func Throughput(maxG int, window time.Duration) *Table {
 	}{
 		{"rename/pool", func(shards, g int) (uint64, time.Duration) {
 			pool := serve.New(serve.Options{Shards: shards}, func(mem shmem.Mem) *core.StrongAdaptive {
-				return saBP.InstantiateWithTempNamer(mem, splitter.NewTree(mem), tas.MakeUnit)
+				return saBP.Instantiate(mem, tas.MakeUnit)
 			})
 			return hammer(g, window, func(_ int) {
 				pool.Do(func(p shmem.Proc, sa *core.StrongAdaptive) { sa.Rename(p, 1) })

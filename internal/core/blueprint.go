@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"repro/internal/maxreg"
 	"repro/internal/shmem"
 	"repro/internal/sortnet"
 	"repro/internal/splitter"
@@ -16,17 +17,11 @@ import (
 // adaptive network topology — and is compiled once per parameter point and
 // cached process-wide. Instantiate stamps the shared state onto one
 // runtime's Mem; Reset (on the instantiated objects) restores that state
-// so one instantiation serves many executions. For a fixed
+// so one instantiation serves many executions. Each instantiated graph
+// allocates every register from one shmem.Region, so its Reset is one
+// sweep of that region. For a fixed
 // (seed, adversary), an execution against a reset instance is bit-identical
 // to one against a fresh instantiation (see the reuse equivalence tests).
-
-// resetSided resets one internal test-and-set object. All of the
-// repository's Sided flavors (TwoProc, Unit, the LL/SC-compiled TAS) are
-// resettable; a custom unresettable maker makes the owning object
-// unresettable too — re-instantiate it instead.
-func resetSided(s tas.Sided) {
-	s.(shmem.Resettable).Reset()
-}
 
 // BitBatchingBlueprint is the runtime-independent shape of the Section 4
 // algorithm: the slot count, the per-batch probe budget, and the geometric
@@ -67,11 +62,13 @@ func (bp *BitBatchingBlueprint) N() int { return bp.n }
 func (bp *BitBatchingBlueprint) Batches() []Batch { return bp.batches }
 
 // Instantiate stamps the blueprint onto mem: the n-slot vector of adaptive
-// test-and-set objects, with internal two-process objects built by mk.
+// test-and-set objects, with internal two-process objects built by mk, all
+// on one region.
 func (bp *BitBatchingBlueprint) Instantiate(mem shmem.Mem, mk tas.SidedMaker) *BitBatching {
-	b := &BitBatching{bp: bp, slots: make([]*tas.RatRace, bp.n)}
+	reg := shmem.RegionOf(mem)
+	b := &BitBatching{bp: bp, reg: reg, slots: make([]*tas.RatRace, bp.n)}
 	for i := range b.slots {
-		b.slots[i] = tas.NewRatRace(mem, mk)
+		b.slots[i] = tas.NewRatRace(reg, mk)
 	}
 	return b
 }
@@ -127,7 +124,7 @@ func (bp *RenamingNetworkBlueprint) Depth() int { return bp.net.Depth() }
 func (bp *RenamingNetworkBlueprint) Instantiate(mem shmem.Mem, mk tas.SidedMaker) *RenamingNetwork {
 	return &RenamingNetwork{
 		bp:    bp,
-		mem:   mem,
+		reg:   shmem.RegionOf(mem),
 		mk:    mk,
 		comps: shmem.NewLazyTable[tas.Sided](mem),
 	}
@@ -160,19 +157,37 @@ func CompileStrongAdaptive(base sortnet.Base) *StrongAdaptiveBlueprint {
 func (bp *StrongAdaptiveBlueprint) Network() *sortnet.Adaptive { return bp.ad }
 
 // Instantiate stamps the blueprint onto mem with a fresh splitter tree as
-// the TempNamer and internal two-process objects built by mk.
+// the TempNamer and internal two-process objects built by mk, all on one
+// region.
 func (bp *StrongAdaptiveBlueprint) Instantiate(mem shmem.Mem, mk tas.SidedMaker) *StrongAdaptive {
-	return bp.InstantiateWithTempNamer(mem, splitter.NewTree(mem), mk)
+	reg := shmem.RegionOf(mem)
+	sa := bp.InstantiateWithTempNamer(reg, splitter.NewTree(reg), mk)
+	sa.ownTree = true
+	return sa
 }
 
 // InstantiateWithTempNamer is Instantiate with an explicit stage-one
-// TempNamer (tests inject adversarially chosen temporary names).
+// TempNamer (tests inject adversarially chosen temporary names). The
+// injected TempNamer keeps its own Reset.
 func (bp *StrongAdaptiveBlueprint) InstantiateWithTempNamer(mem shmem.Mem, tree TempNamer, mk tas.SidedMaker) *StrongAdaptive {
+	reg := shmem.RegionOf(mem)
 	return &StrongAdaptive{
-		mem:   mem,
+		reg:   reg,
 		mk:    mk,
 		tree:  tree,
 		ad:    bp.ad,
-		comps: shmem.NewLazyTable[tas.Sided](mem),
+		comps: shmem.NewLazyTable[tas.Sided](reg),
+	}
+}
+
+// InstantiateCounter stamps a Section 8.1 counter whose renamer has this
+// blueprint's shape: the renamer and the unbounded max register share one
+// region, so the counter's Reset is one sweep plus its uid streams.
+func (bp *StrongAdaptiveBlueprint) InstantiateCounter(mem shmem.Mem, mk tas.SidedMaker) *MonotoneCounter {
+	reg := shmem.RegionOf(mem)
+	return &MonotoneCounter{
+		reg: reg,
+		ren: bp.Instantiate(reg, mk),
+		max: maxreg.NewUnbounded(reg),
 	}
 }

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/maxreg"
 	"repro/internal/shmem"
-	"repro/internal/splitter"
+	"repro/internal/sortnet"
 	"repro/internal/tas"
 )
 
@@ -90,6 +90,7 @@ func (u *UIDSource) Reset() {
 // counterexample, reproduced in this package's tests), which is exactly
 // the price paid for shaving the log factor off the counter of [17].
 type MonotoneCounter struct {
+	reg  *shmem.Region // the renamer's and max register's; nil when injected
 	ren  Renamer
 	max  maxreg.MaxReg
 	uids UIDSource
@@ -97,12 +98,9 @@ type MonotoneCounter struct {
 
 // NewMonotoneCounter builds the counter from a fresh strong adaptive
 // renaming instance and a fresh unbounded max register, both allocated
-// from mem.
+// from one region over mem.
 func NewMonotoneCounter(mem shmem.Mem, mk tas.SidedMaker) *MonotoneCounter {
-	return &MonotoneCounter{
-		ren: NewStrongAdaptive(mem, splitter.NewTree(mem), mk),
-		max: maxreg.NewUnbounded(mem),
-	}
+	return CompileStrongAdaptive(sortnet.BaseOEM).InstantiateCounter(mem, mk)
 }
 
 // NewMonotoneCounterWith builds the counter over an explicit renamer and
@@ -112,14 +110,23 @@ func NewMonotoneCounterWith(ren Renamer, max maxreg.MaxReg) *MonotoneCounter {
 }
 
 // Reset restores the counter to zero: the renamer, the max register, and
-// the uid streams all rewind, keeping the allocated graphs. The injected
-// renamer and max register must be resettable (the standard ones are).
-// Between executions only.
+// the uid streams all rewind, keeping the allocated graphs. A counter
+// built by NewMonotoneCounter sweeps its one region; injected parts are
+// reset through their own Reset and must be resettable (the standard ones
+// are). Between executions only.
 func (c *MonotoneCounter) Reset() {
-	c.ren.(shmem.Resettable).Reset()
-	c.max.(shmem.Resettable).Reset()
+	if c.reg != nil {
+		c.reg.Reset()
+	} else {
+		c.ren.(shmem.Resettable).Reset()
+		c.max.(shmem.Resettable).Reset()
+	}
 	c.uids.Reset()
 }
+
+// Region returns the region the counter's renamer and max register share,
+// or nil when they were injected (a probe for tests).
+func (c *MonotoneCounter) Region() *shmem.Region { return c.reg }
 
 // Inc increments the counter and returns the acquired name (the paper's
 // increment has no return value; exposing the name costs nothing and the

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/shmem"
-	"repro/internal/splitter"
+	"repro/internal/sortnet"
 	"repro/internal/tas"
 )
 
@@ -20,18 +20,20 @@ import (
 // uid (Try manages them internally).
 type LTestAndSet struct {
 	ell     uint64
+	reg     *shmem.Region // the doorway's and the renamer's registers
 	doorway shmem.FastReg
 	ren     Renamer
 	uids    UIDSource
 }
 
 // NewLTestAndSet builds an ℓ-test-and-set over a fresh strong adaptive
-// renaming instance.
+// renaming instance, both on shmem.RegionOf(mem).
 func NewLTestAndSet(mem shmem.Mem, ell uint64, mk tas.SidedMaker) *LTestAndSet {
 	o := &LTestAndSet{ell: ell}
 	if ell > 0 {
-		o.doorway = shmem.Fast(mem.NewReg(0))
-		o.ren = NewStrongAdaptive(mem, splitter.NewTree(mem), mk)
+		o.reg = shmem.RegionOf(mem)
+		o.doorway = shmem.Fast(o.reg.NewReg(0))
+		o.ren = CompileStrongAdaptive(sortnet.BaseOEM).Instantiate(o.reg, mk)
 	}
 	return o
 }
@@ -40,14 +42,13 @@ func NewLTestAndSet(mem shmem.Mem, ell uint64, mk tas.SidedMaker) *LTestAndSet {
 func (o *LTestAndSet) Ell() uint64 { return o.ell }
 
 // Reset restores the object to its unentered state — doorway open, renamer
-// and uid streams rewound — keeping the allocated graph. Between
-// executions only.
+// and uid streams rewound — keeping the allocated graph: one sweep of its
+// region plus the uid streams. Between executions only.
 func (o *LTestAndSet) Reset() {
 	if o.ell == 0 {
 		return
 	}
-	o.doorway.Restore(0)
-	o.ren.(shmem.Resettable).Reset()
+	o.reg.Reset()
 	o.uids.Reset()
 }
 
@@ -79,7 +80,7 @@ func (o *LTestAndSet) Try(p shmem.Proc) bool {
 // next power of two's object with results clamped to m−1 (the paper's
 // remark after Algorithm 2).
 type FetchInc struct {
-	mem shmem.Mem
+	reg *shmem.Region // every node's registers
 	mk  tas.SidedMaker
 	m   uint64
 	// root has capacity mPow, the smallest power of two ≥ m.
@@ -111,7 +112,7 @@ func NewFetchInc(mem shmem.Mem, m uint64, mk tas.SidedMaker) *FetchInc {
 	for mPow < m {
 		mPow *= 2
 	}
-	f := &FetchInc{mem: mem, mk: mk, m: m}
+	f := &FetchInc{reg: shmem.RegionOf(mem), mk: mk, m: m}
 	f.root = f.newNode(mPow)
 	return f
 }
@@ -119,7 +120,7 @@ func NewFetchInc(mem shmem.Mem, m uint64, mk tas.SidedMaker) *FetchInc {
 func (f *FetchInc) newNode(cap uint64) *faiNode {
 	n := &faiNode{cap: cap}
 	if cap > 1 {
-		n.test = NewLTestAndSet(f.mem, cap/2, f.mk)
+		n.test = NewLTestAndSet(f.reg, cap/2, f.mk)
 	}
 	return n
 }
@@ -143,19 +144,22 @@ func (f *FetchInc) children(n *faiNode) (*faiNode, *faiNode) {
 func (f *FetchInc) M() uint64 { return f.m }
 
 // Reset restores the object to zero increments, keeping the lazily built
-// node tree. Between executions only.
+// node tree: one sweep of the region restores every node's registers, and
+// a walk rewinds the nodes' uid streams (bookkeeping outside the region).
+// Between executions only.
 func (f *FetchInc) Reset() {
-	f.root.reset()
+	f.reg.Reset()
+	f.root.resetUIDs()
 }
 
-func (n *faiNode) reset() {
+func (n *faiNode) resetUIDs() {
 	if n.cap <= 1 {
 		return
 	}
-	n.test.Reset()
+	n.test.uids.Reset()
 	if k := n.kids.Load(); k != nil {
-		k.left.reset()
-		k.right.reset()
+		k.left.resetUIDs()
+		k.right.resetUIDs()
 	}
 }
 

@@ -45,12 +45,15 @@ type LongLived struct {
 	// bookkeeping outside the step-counted model).
 	mu    sync.Mutex
 	cells atomic.Pointer[[]shmem.FastReg]
-	mem   shmem.Mem
+	reg   *shmem.Region // head and cells
 }
 
-// NewLongLived wraps a renamer into a long-lived name allocator.
+// NewLongLived wraps a renamer into a long-lived name allocator. The free
+// list's registers come from shmem.RegionOf(mem); the renamer keeps its
+// own Reset.
 func NewLongLived(mem shmem.Mem, ren Renamer) *LongLived {
-	return &LongLived{ren: ren, mem: mem, head: shmem.Fast(mem.NewCASReg(0))}
+	reg := shmem.RegionOf(mem)
+	return &LongLived{ren: ren, reg: reg, head: shmem.Fast(reg.NewCASReg(0))}
 }
 
 // Reset restores the allocator to its empty state: the free list, every
@@ -61,12 +64,7 @@ func NewLongLived(mem shmem.Mem, ren Renamer) *LongLived {
 // leak names across reuses (the recycle test pins this). Between
 // executions only.
 func (l *LongLived) Reset() {
-	l.head.Restore(0)
-	if cells := l.cells.Load(); cells != nil {
-		for _, c := range *cells {
-			c.Restore(0)
-		}
-	}
+	l.reg.Reset()
 	l.ren.(shmem.Resettable).Reset()
 	l.uids.Reset()
 }
@@ -94,7 +92,7 @@ func (l *LongLived) growCells(name uint64) shmem.FastReg {
 	next := make([]shmem.FastReg, name)
 	copy(next, cur)
 	for i := uint64(len(cur)); i < name; i++ {
-		next[i] = shmem.Fast(l.mem.NewCASReg(0))
+		next[i] = shmem.Fast(l.reg.NewCASReg(0))
 	}
 	l.cells.Store(&next)
 	return next[name-1]

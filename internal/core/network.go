@@ -20,7 +20,7 @@ import (
 // the names 1..k — with step complexity proportional to the network depth.
 type RenamingNetwork struct {
 	bp  *RenamingNetworkBlueprint
-	mem shmem.Mem
+	reg *shmem.Region // every comparator's registers
 	mk  tas.SidedMaker
 
 	// comps lazily maps stage<<32|index to the comparator's TAS object.
@@ -44,20 +44,16 @@ func (rn *RenamingNetwork) Width() int { return rn.bp.net.W }
 func (rn *RenamingNetwork) Depth() int { return rn.bp.net.Depth() }
 
 // Reset restores every allocated comparator to its unentered state,
-// keeping the lazily built comparator table. Between executions only.
-func (rn *RenamingNetwork) Reset() {
-	rn.comps.Range(func(_ uint64, s tas.Sided) bool {
-		resetSided(s)
-		return true
-	})
-}
+// keeping the lazily built comparator table: one sweep of the network's
+// region. Between executions only.
+func (rn *RenamingNetwork) Reset() { rn.reg.Reset() }
 
 func (rn *RenamingNetwork) comp(stage int, ci int32) tas.Sided {
 	key := uint64(stage)<<32 | uint64(uint32(ci))
 	if t, ok := rn.comps.Lookup(key); ok {
 		return t
 	}
-	return rn.comps.Insert(key, rn.mk(rn.mem))
+	return rn.comps.Insert(key, rn.mk(rn.reg))
 }
 
 // Rename routes the process holding initial name uid ∈ [1, M] through the
@@ -100,10 +96,13 @@ func (rn *RenamingNetwork) Rename(p shmem.Proc, uid uint64) uint64 {
 // constants drop by one log factor; we use the constructible Batcher base,
 // c = 2 — see BENCHMARKS.md).
 type StrongAdaptive struct {
-	mem  shmem.Mem
+	reg  *shmem.Region // comparators and (unless injected) the splitter tree
 	mk   tas.SidedMaker
 	tree TempNamer
-	ad   *sortnet.Adaptive
+	// ownTree reports that tree was built on reg, so the region's sweep
+	// already resets it; an injected TempNamer keeps its own Reset.
+	ownTree bool
+	ad      *sortnet.Adaptive
 
 	// comps lazily maps Comp.Key() to the comparator's shared TAS object.
 	comps *shmem.LazyTable[tas.Sided]
@@ -134,16 +133,20 @@ func NewStrongAdaptiveWithBase(mem shmem.Mem, tree TempNamer, mk tas.SidedMaker,
 }
 
 // Reset restores the instance to its unentered state — the splitter tree
-// and every allocated comparator — keeping the lazily built object graph.
-// Between executions only. The TempNamer must be resettable (the standard
-// splitter tree is).
+// and every allocated comparator — keeping the lazily built object graph:
+// one sweep of the instance's region. An injected TempNamer is reset
+// through its own Reset, so it must be resettable (the standard splitter
+// tree is). Between executions only.
 func (sa *StrongAdaptive) Reset() {
-	sa.tree.(shmem.Resettable).Reset()
-	sa.comps.Range(func(_ uint64, s tas.Sided) bool {
-		resetSided(s)
-		return true
-	})
+	sa.reg.Reset()
+	if !sa.ownTree {
+		sa.tree.(shmem.Resettable).Reset()
+	}
 }
+
+// Region returns the region the instance's registers come from (a probe
+// for tests and space accounting).
+func (sa *StrongAdaptive) Region() *shmem.Region { return sa.reg }
 
 // Network exposes the underlying adaptive sorting network (benchmarks
 // report its per-level depths against Theorem 2).
@@ -154,7 +157,7 @@ func (sa *StrongAdaptive) comp(c sortnet.Comp) tas.Sided {
 	if t, ok := sa.comps.Lookup(key); ok {
 		return t
 	}
-	return sa.comps.Insert(key, sa.mk(sa.mem))
+	return sa.comps.Insert(key, sa.mk(sa.reg))
 }
 
 // ComparatorObjects returns the number of comparator TAS objects allocated

@@ -72,6 +72,7 @@ func BatchLayout(n int) []Batch {
 // test-and-set during stage 1, after O(log² n) test-and-set probes.
 type BitBatching struct {
 	bp    *BitBatchingBlueprint
+	reg   *shmem.Region // every slot's registers
 	slots []*tas.RatRace
 }
 
@@ -89,12 +90,9 @@ func (b *BitBatching) Batches() []Batch { return b.bp.batches }
 
 // Reset restores every slot to its unentered state, keeping the lazily
 // built object graph, so the instance serves the next execution without
-// reallocation. Between executions only.
-func (b *BitBatching) Reset() {
-	for _, s := range b.slots {
-		s.Reset()
-	}
-}
+// reallocation: one sweep of the instance's region. Between executions
+// only.
+func (b *BitBatching) Reset() { b.reg.Reset() }
 
 // Rename competes for a name in [1, n]. It panics if the namespace is
 // exhausted, which can only happen if more than n distinct uids participate.
@@ -185,7 +183,7 @@ func (b *BitBatching) sampleUnvisited(p shmem.Proc, batch Batch, visited []bool)
 // namespace is tight and adaptive, but a process may probe Θ(k) objects —
 // the linear step complexity the paper's algorithms beat.
 type LinearProbe struct {
-	mem shmem.Mem
+	reg *shmem.Region // every slot's registers
 	mk  tas.SidedMaker
 
 	mu    sync.Mutex // guards slot growth (bookkeeping, outside the model)
@@ -196,26 +194,19 @@ var _ Renamer = (*LinearProbe)(nil)
 
 // NewLinearProbe allocates a growable probe list.
 func NewLinearProbe(mem shmem.Mem, mk tas.SidedMaker) *LinearProbe {
-	return &LinearProbe{mem: mem, mk: mk}
+	return &LinearProbe{reg: shmem.RegionOf(mem), mk: mk}
 }
 
 // Reset restores every probe slot to its unentered state, keeping the
-// grown list. Between executions only.
-func (l *LinearProbe) Reset() {
-	l.mu.Lock()
-	slots := l.slots
-	l.mu.Unlock()
-	for _, s := range slots {
-		s.Reset()
-	}
-}
+// grown list: one sweep of the instance's region. Between executions only.
+func (l *LinearProbe) Reset() { l.reg.Reset() }
 
 // slot returns the s-th test-and-set, growing the list lazily.
 func (l *LinearProbe) slot(s int) *tas.RatRace {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.slots) <= s {
-		l.slots = append(l.slots, tas.NewRatRace(l.mem, l.mk))
+		l.slots = append(l.slots, tas.NewRatRace(l.reg, l.mk))
 	}
 	return l.slots[s]
 }

@@ -16,7 +16,7 @@ import (
 // register-based TAS so coin flips sit on the operation path (the hardest
 // case for record/replay bit-identity).
 func newRenamer(mem shmem.Mem) *core.StrongAdaptive {
-	return core.CompileStrongAdaptive(0).Instantiate(mem, tas.MakeTwoProcPool(mem))
+	return core.CompileStrongAdaptive(0).Instantiate(mem, tas.MakeTwoProc)
 }
 
 func renameBody(ex *Execution, sa *core.StrongAdaptive, names []uint64) func(shmem.Proc) {

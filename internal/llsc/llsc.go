@@ -145,12 +145,6 @@ func NewCompiledTAS(mem shmem.Mem) *CompiledTAS {
 	return &CompiledTAS{r: New(mem, 0)}
 }
 
-// Reset restores the compiled TAS to its unwon state (between executions
-// only).
-func (c *CompiledTAS) Reset() {
-	c.r.Reset(0)
-}
-
 // TestAndSet returns true for exactly the first linearized caller.
 func (c *CompiledTAS) TestAndSet(p shmem.Proc) bool {
 	p.Note(shmem.EvTASEnter)

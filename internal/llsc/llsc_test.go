@@ -153,3 +153,34 @@ func TestValueOverflowPanics(t *testing.T) {
 	}()
 	rt.Run(1, func(p shmem.Proc) { r.Move(p, 1<<valueBits) })
 }
+
+// TestRegionRestoresNonzeroInit pins the region's initial-value record: an
+// LL/SC register allocated with a nonzero value from a region reads that
+// value, with a fresh version stamp, after the region's Reset — on both
+// runtimes.
+func TestRegionRestoresNonzeroInit(t *testing.T) {
+	for _, rt := range []shmem.Runtime{sim.New(1, sim.NewRoundRobin()), shmem.NewNative(1)} {
+		reg := shmem.RegionOf(rt)
+		zero := New(reg, 0)
+		r := New(reg, 5)
+		var fresh uint64
+		rt.Run(1, func(p shmem.Proc) {
+			_, fresh = r.LL(p)
+			r.Move(p, 9)
+			zero.Move(p, 3)
+		})
+		reg.Reset()
+		if s, ok := rt.(*sim.Runtime); ok {
+			s.Reset(1, sim.NewRoundRobin())
+		}
+		rt.Run(1, func(p shmem.Proc) {
+			v, tok := r.LL(p)
+			if v != 5 || tok != fresh {
+				t.Errorf("%T: after Reset LL = (%d, %#x), want (5, %#x)", rt, v, tok, fresh)
+			}
+			if v, _ := zero.LL(p); v != 0 {
+				t.Errorf("%T: zero-initialized register after Reset = %d", rt, v)
+			}
+		})
+	}
+}

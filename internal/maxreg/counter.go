@@ -36,6 +36,7 @@ import (
 // form "joined increments + Σ local cells" without ever double-counting a
 // merged total.
 type AACCounter struct {
+	reg       *shmem.Region  // leaves and every node's max register
 	size      int            // tree width: number of leaf positions
 	procCap   int            // leaf slots 0..procCap-1 owned by incrementing processes
 	mergeBase int            // arena offset of the first merge leaf; 0 = classic layout
@@ -115,18 +116,20 @@ func (bp *AACBlueprint) MergeSlots() int {
 }
 
 // Instantiate stamps the counter's shared state onto mem: the leaf
-// registers come from one bulk arena; internal nodes are unbounded max
-// registers (lazily grown trees of their own).
+// registers are one bulk arena and internal nodes are unbounded max
+// registers (lazily grown trees of their own), all from one region.
 func (bp *AACBlueprint) Instantiate(mem shmem.Mem) *AACCounter {
+	reg := shmem.RegionOf(mem)
 	c := &AACCounter{
+		reg:       reg,
 		size:      bp.size,
 		procCap:   bp.procCap,
 		mergeBase: bp.mergeBase,
-		leaves:    shmem.NewRegs(mem, bp.size),
+		leaves:    shmem.NewRegs(reg, bp.size),
 		nodes:     make([]MaxReg, bp.size),
 	}
 	for i := 1; i < bp.size; i++ {
-		c.nodes[i] = NewUnbounded(mem)
+		c.nodes[i] = NewUnbounded(reg)
 	}
 	return c
 }
@@ -153,14 +156,9 @@ func (c *AACCounter) MergeSlots() int {
 	return c.size - c.mergeBase
 }
 
-// Reset restores the counter to zero, keeping the allocated node trees.
-// Between executions only.
-func (c *AACCounter) Reset() {
-	c.leaves.Reset()
-	for i := 1; i < c.size; i++ {
-		c.nodes[i].(*Unbounded).Reset()
-	}
-}
+// Reset restores the counter to zero, keeping the allocated node trees:
+// one sweep of its region. Between executions only.
+func (c *AACCounter) Reset() { c.reg.Reset() }
 
 // value reads tree position idx (internal max register or leaf register).
 func (c *AACCounter) value(p shmem.Proc, idx int) uint64 {

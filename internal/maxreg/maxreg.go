@@ -32,9 +32,10 @@ type MaxReg interface {
 // the low half, the right subtree the high half. A high write fills the
 // right subtree before flipping the switch, so any reader directed right
 // finds a complete value. Children are allocated lazily (allocation is
-// bookkeeping outside the step-counted model).
+// bookkeeping outside the step-counted model), with their registers from
+// the root's shmem.Region.
 type Bounded struct {
-	mem  shmem.Mem
+	reg  *shmem.Region
 	m    uint64
 	high shmem.FastReg
 
@@ -52,14 +53,15 @@ type boundedKids struct {
 
 var _ MaxReg = (*Bounded)(nil)
 
-// NewBounded returns a max register over [0, m), m ≥ 1.
+// NewBounded returns a max register over [0, m), m ≥ 1, whose registers
+// come from shmem.RegionOf(mem).
 func NewBounded(mem shmem.Mem, m uint64) *Bounded {
 	if m < 1 {
 		panic("maxreg: capacity must be at least 1")
 	}
-	b := &Bounded{mem: mem, m: m}
+	b := &Bounded{reg: shmem.RegionOf(mem), m: m}
 	if m > 1 {
-		b.high = shmem.Fast(mem.NewReg(0))
+		b.high = shmem.Fast(b.reg.NewReg(0))
 	}
 	return b
 }
@@ -68,18 +70,10 @@ func NewBounded(mem shmem.Mem, m uint64) *Bounded {
 func (b *Bounded) half() uint64 { return (b.m + 1) / 2 }
 
 // Reset restores the register to its initial (all-zero) state, keeping the
-// lazily allocated tree so the next execution runs allocation-free.
+// lazily allocated tree so the next execution runs allocation-free: one
+// sweep of its region, which restores every object sharing the region.
 // Between executions only.
-func (b *Bounded) Reset() {
-	if b.m == 1 {
-		return
-	}
-	b.high.Restore(0)
-	if k := b.kids.Load(); k != nil {
-		k.left.Reset()
-		k.right.Reset()
-	}
-}
+func (b *Bounded) Reset() { b.reg.Reset() }
 
 func (b *Bounded) children() (*Bounded, *Bounded) {
 	if k := b.kids.Load(); k != nil {
@@ -91,8 +85,8 @@ func (b *Bounded) children() (*Bounded, *Bounded) {
 		return k.left, k.right
 	}
 	k := &boundedKids{
-		left:  NewBounded(b.mem, b.half()),
-		right: NewBounded(b.mem, b.m-b.half()),
+		left:  NewBounded(b.reg, b.half()),
+		right: NewBounded(b.reg, b.m-b.half()),
 	}
 	b.kids.Store(k)
 	return k.left, k.right
@@ -138,7 +132,7 @@ func (b *Bounded) ReadMax(p shmem.Proc) uint64 {
 // Cost: O(log v) steps for both operations, v the largest value involved —
 // the bound Lemma 4 of the paper charges to the counter's max register.
 type Unbounded struct {
-	mem shmem.Mem
+	reg *shmem.Region // spine bits and every tree's registers
 
 	// The spine only grows; it is published copy-on-write through an atomic
 	// pointer so the per-operation node lookups (every ReadMax starts at
@@ -154,9 +148,10 @@ type spineNode struct {
 
 var _ MaxReg = (*Unbounded)(nil)
 
-// NewUnbounded returns an empty unbounded max register.
+// NewUnbounded returns an empty unbounded max register whose registers
+// come from shmem.RegionOf(mem).
 func NewUnbounded(mem shmem.Mem) *Unbounded {
-	return &Unbounded{mem: mem}
+	return &Unbounded{reg: shmem.RegionOf(mem)}
 }
 
 // node returns spine node j, allocating the prefix lazily.
@@ -182,8 +177,8 @@ func (u *Unbounded) grow(j int) *spineNode {
 	for len(next) <= j {
 		w := uint64(1) << uint(len(next))
 		next = append(next, &spineNode{
-			deeper: shmem.Fast(u.mem.NewReg(0)),
-			tree:   NewBounded(u.mem, w),
+			deeper: shmem.Fast(u.reg.NewReg(0)),
+			tree:   NewBounded(u.reg, w),
 		})
 	}
 	u.spine.Store(&next)
@@ -191,17 +186,9 @@ func (u *Unbounded) grow(j int) *spineNode {
 }
 
 // Reset restores the register to its initial (empty) state, keeping the
-// allocated spine. Between executions only.
-func (u *Unbounded) Reset() {
-	arr := u.spine.Load()
-	if arr == nil {
-		return
-	}
-	for _, n := range *arr {
-		n.deeper.Restore(0)
-		n.tree.Reset()
-	}
-}
+// allocated spine: one sweep of its region (see Bounded.Reset). Between
+// executions only.
+func (u *Unbounded) Reset() { u.reg.Reset() }
 
 // base returns the smallest value stored at spine node j: 2^j − 1.
 func base(j int) uint64 { return uint64(1)<<uint(j) - 1 }

@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/rng"
 	"repro/internal/shmem"
 )
 
@@ -202,20 +203,13 @@ func goroutineKey() uint64 {
 	return uint64(uintptr(unsafe.Pointer(&b)))
 }
 
-// hashKey spreads a key over the lanes (SplitMix64 finalizer).
-func hashKey(k uint64) uint64 {
-	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
-	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
-	return k ^ (k >> 31)
-}
-
 // lease acquires a lane by hashed goroutine identity with linear probing.
 // Every failed lease CAS bumps the probed lane's retry counter — that IS
 // the contention signal, measured exactly where it occurs. A full sweep
 // without a free lane yields the processor (every lane busy means more
 // runnable goroutines than lanes).
 func (p *Pool) lease() *lane {
-	h := hashKey(goroutineKey())
+	h := rng.Mix64(goroutineKey())
 	for i := uint64(0); ; i++ {
 		ln := &p.lanes[(h+i)&p.mask]
 		if ln.leased.CompareAndSwap(0, 1) {

@@ -21,12 +21,15 @@
 //     compile-once half of the two-phase model makes this cheap) and the
 //     new instance joins the shard's freelist on Put, so the pool grows to
 //     match peak demand.
-//   - Recycling reuses the PR 2 reset machinery: Put restores the object
-//     graph to its just-instantiated state in place, so every checkout
-//     observes a fresh object with zero allocation. A caller that panics
-//     mid-operation (Do/Execute recycle through a deferred Put) cannot
-//     leak state into the next checkout — the same wholesale-reclaim
-//     argument as the LongLived crash-recycle contract.
+//   - Recycling restores the object graph to its just-instantiated state
+//     in place on Put, so every checkout observes a fresh object with zero
+//     allocation. The graphs allocate every register from one
+//     shmem.Region, so the reset is a memory clear over the region's
+//     chunks plus the graph's non-register bookkeeping (uid streams),
+//     whatever the graph's size: no walk over its objects. A caller that
+//     panics mid-operation (Do/Execute recycle through a deferred Put)
+//     cannot leak state into the next checkout — the same
+//     wholesale-reclaim argument as the LongLived crash-recycle contract.
 //
 // Each instance is bound to its own runtime (its own register arenas and
 // coin streams), so operations on different instances share no memory at
@@ -41,6 +44,7 @@ import (
 	"unsafe"
 
 	"repro/internal/exec"
+	"repro/internal/rng"
 	"repro/internal/shmem"
 )
 
@@ -102,7 +106,7 @@ type Instance[T shmem.Resettable] struct {
 
 	rt   shmem.Runtime
 	proc *shmem.NativeProc // dedicated serving proc, native only
-	ex   *exec.Execution   // reusable Execute context (per k)
+	exs  []*exec.Execution // reusable Execute contexts, one per k seen
 	pool *Pool[T]
 	home *shard[T]
 
@@ -149,13 +153,13 @@ func (in *Instance[T]) Put() {
 			in.proc.Reset()
 		}
 	}
-	// A FaultPlan or recorder armed on the execution context belongs to the
-	// holder's session, never to the graph: disarm it unconditionally (also
-	// under KeepState), so chaos testing one checkout cannot crash the next
-	// holder's executions.
-	if in.ex != nil {
-		in.ex.Faults(nil)
-		in.ex.StopRecording()
+	// A FaultPlan or recorder armed on an execution context belongs to the
+	// holder's session, never to the graph: disarm every cached context
+	// unconditionally (also under KeepState), so chaos testing one
+	// checkout cannot crash the next holder's executions.
+	for _, ex := range in.exs {
+		ex.Faults(nil)
+		ex.StopRecording()
 	}
 	in.home.leased.Add(-1)
 	in.home.push(in)
@@ -171,14 +175,20 @@ func (in *Instance[T]) Execute(k int, body func(p shmem.Proc, obj T)) *shmem.Sta
 }
 
 // Exec returns the instance's execution context for k-process executions,
-// building (or rebuilding, when k changes) it on demand. The holder may arm
-// a FaultPlan or trace recording on it before calling Run — chaos-testing a
-// checked-out instance uses the same layer as a standalone execution.
+// building it on first use of k and keeping it for later checkouts, so a
+// workload that cycles contention levels allocates no execution contexts
+// in steady state. The holder may arm a FaultPlan or trace recording on it
+// before calling Run — chaos-testing a checked-out instance uses the same
+// layer as a standalone execution.
 func (in *Instance[T]) Exec(k int) *exec.Execution {
-	if in.ex == nil || in.ex.K() != k {
-		in.ex = exec.New(in.rt, k)
+	for _, ex := range in.exs {
+		if ex.K() == k {
+			return ex
+		}
 	}
-	return in.ex
+	ex := exec.New(in.rt, k)
+	in.exs = append(in.exs, ex)
+	return ex
 }
 
 // shard is one independent freelist. The hot fields (head, hit/overflow
@@ -329,13 +339,6 @@ func goroutineKey() uint64 {
 	return uint64(uintptr(unsafe.Pointer(&b)))
 }
 
-// hashKey spreads a key over the shards (SplitMix64 finalizer).
-func hashKey(k uint64) uint64 {
-	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
-	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
-	return k ^ (k >> 31)
-}
-
 // Get checks out an instance, selecting the shard by a cheap
 // per-goroutine hash. The caller owns the instance until Put.
 func (p *Pool[T]) Get() *Instance[T] {
@@ -346,13 +349,13 @@ func (p *Pool[T]) Get() *Instance[T] {
 // attribution hook the tracing layer stamps into op spans, so a slow op's
 // span names the same shard the op actually contended on.
 func (p *Pool[T]) ShardFor(key uint64) int {
-	return int(hashKey(key) & p.mask)
+	return int(rng.Mix64(key) & p.mask)
 }
 
 // GetKeyed is Get with an explicit shard-selection key (a process id, a
 // connection id — anything roughly uniform).
 func (p *Pool[T]) GetKeyed(key uint64) *Instance[T] {
-	s := &p.shards[hashKey(key)&p.mask]
+	s := &p.shards[rng.Mix64(key)&p.mask]
 	in := s.pop()
 	if in == nil {
 		// Shard ran dry: instantiate from the cached blueprint. The new

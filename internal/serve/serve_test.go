@@ -297,7 +297,7 @@ func TestPoolSimBackedCheckout(t *testing.T) {
 	const k = 5
 	bp := core.CompileStrongAdaptive(0)
 	inst := func(mem shmem.Mem) *core.StrongAdaptive {
-		return bp.InstantiateWithTempNamer(mem, splitter.NewTree(mem), tas.MakeTwoProcPool(mem))
+		return bp.InstantiateWithTempNamer(mem, splitter.NewTree(mem), tas.MakeTwoProc)
 	}
 	pool := NewWithRuntime(Options{Shards: 1, PerShard: 1},
 		func(id uint64) shmem.Runtime { return sim.New(999, sim.NewRandom(999)) },

@@ -6,7 +6,10 @@ package shmem
 // cached process-wide) and an instantiation that stamps shared state onto
 // one runtime's Mem. The hooks here make instantiation bulk (arenas) and
 // re-instantiation free (Reset restores shared state in place, without
-// reallocating the object graph).
+// reallocating the object graph). Lazily growing graphs take both from a
+// Region (region.go): every register of the graph comes out of the
+// region's chunked arenas, and the graph's Reset is one sweep per chunk
+// rather than a walk over its objects.
 
 // Resettable is implemented by instantiated objects whose shared state can
 // be restored to its initial (just-instantiated) value without
@@ -18,6 +21,10 @@ package shmem
 // one against a freshly instantiated copy: for a fixed (seed, adversary)
 // the simulator produces bit-identical Stats either way (the reuse
 // equivalence tests pin this down).
+//
+// Objects built on a Region restore their registers through it: Reset is
+// Region.Reset plus the object's non-register bookkeeping, and it restores
+// every object sharing that region at once.
 type Resettable interface {
 	Reset()
 }

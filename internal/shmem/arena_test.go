@@ -83,36 +83,3 @@ func TestRestoreHelper(t *testing.T) {
 		}
 	})
 }
-
-func TestLazyTableRange(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		var mem Mem = NewNative(1)
-		if serial {
-			mem = &serialMem{}
-		}
-		tab := NewLazyTable[int](mem)
-		want := map[uint64]int{0: 10, 1: 11, 7: 17, 1 << 40: 40}
-		for k, v := range want {
-			tab.Insert(k, v)
-		}
-		got := map[uint64]int{}
-		tab.Range(func(k uint64, v int) bool {
-			got[k] = v
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("serial=%v: Range saw %d entries, want %d", serial, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("serial=%v: Range[%d] = %d, want %d", serial, k, got[k], v)
-			}
-		}
-		// Early stop: the callback returning false ends the walk.
-		n := 0
-		tab.Range(func(uint64, int) bool { n++; return false })
-		if n != 1 {
-			t.Fatalf("serial=%v: Range after false visited %d entries, want 1", serial, n)
-		}
-	}
-}

@@ -16,10 +16,16 @@ type Serial interface {
 	SerialMem()
 }
 
-// IsSerial reports whether mem declares its objects goroutine-confined.
+// IsSerial reports whether mem declares its objects goroutine-confined. A
+// Region inherits the answer from its parent runtime.
 func IsSerial(mem Mem) bool {
-	_, ok := mem.(Serial)
-	return ok
+	switch m := mem.(type) {
+	case *Region:
+		return m.serial
+	case Serial:
+		return true
+	}
+	return false
 }
 
 // LazyTable is a uint64-keyed table of lazily created shared objects. The
@@ -247,33 +253,6 @@ func (t *LazyTable[V]) growConcurrent(old *lazyCTab[V]) *lazyCTab[V] {
 	}
 	t.tab.Store(next)
 	return next
-}
-
-// Range calls f for every object in the table until f returns false. The
-// iteration order is unspecified. Range is bookkeeping (Reset walks the
-// instantiated object graph with it) and must not run concurrently with
-// Insert on serial tables.
-func (t *LazyTable[V]) Range(f func(key uint64, v V) bool) {
-	if t.serial {
-		if t.hasZero && !f(0, t.zeroVal) {
-			return
-		}
-		for i := range t.slots {
-			if t.slots[i].key != 0 && !f(t.slots[i].key, t.slots[i].val) {
-				return
-			}
-		}
-		return
-	}
-	if t.zeroSet.Load() && !f(0, t.zeroVal) {
-		return
-	}
-	c := t.tab.Load()
-	for i := range c.keys {
-		if k := c.keys[i].Load(); k != 0 && !f(k, c.vals[i]) {
-			return
-		}
-	}
 }
 
 // Len returns the number of objects created so far (a space probe).

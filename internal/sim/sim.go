@@ -314,11 +314,7 @@ func (a simArena) Len() int                  { return len(a) }
 func (a simArena) Reg(i int) shmem.Reg       { return &a[i] }
 func (a simArena) CASReg(i int) shmem.CASReg { return &a[i] }
 
-func (a simArena) Reset() {
-	for i := range a {
-		a[i].v = 0
-	}
-}
+func (a simArena) Reset() { clear(a) }
 
 // Reset rewinds the runtime for another execution: a fresh seed and
 // adversary, the clock back at zero, no crashes, no processes. Registers

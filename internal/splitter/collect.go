@@ -17,8 +17,8 @@ import (
 // adaptivity: the number of registers a collect reads is O(k^c), a
 // function of contention only.
 type Collect struct {
+	reg  *shmem.Region // the tree's, the value registers' and the frontier's
 	tree *Tree
-	mem  shmem.Mem
 
 	mu   chan struct{} // guards vals allocation (bookkeeping)
 	vals map[uint64]shmem.Reg
@@ -29,34 +29,27 @@ type Collect struct {
 
 // NewCollect allocates an adaptive collect object.
 func NewCollect(mem shmem.Mem) *Collect {
+	reg := shmem.RegionOf(mem)
 	return &Collect{
-		tree:     NewTree(mem),
-		mem:      mem,
+		reg:      reg,
+		tree:     NewTree(reg),
 		mu:       make(chan struct{}, 1),
 		vals:     make(map[uint64]shmem.Reg),
-		frontier: maxreg.NewUnbounded(mem),
+		frontier: maxreg.NewUnbounded(reg),
 	}
 }
 
 // Reset restores the collect object to its empty state, keeping the
 // allocated tree and value registers. Handles from earlier executions are
 // stale after Reset; participants re-Join. Between executions only.
-func (c *Collect) Reset() {
-	c.tree.Reset()
-	c.mu <- struct{}{}
-	for _, r := range c.vals {
-		shmem.Restore(r, 0)
-	}
-	<-c.mu
-	c.frontier.(*maxreg.Unbounded).Reset()
-}
+func (c *Collect) Reset() { c.reg.Reset() }
 
 func (c *Collect) val(idx uint64) shmem.Reg {
 	c.mu <- struct{}{}
 	defer func() { <-c.mu }()
 	r, ok := c.vals[idx]
 	if !ok {
-		r = c.mem.NewReg(0)
+		r = c.reg.NewReg(0)
 		c.vals[idx] = r
 	}
 	return r

@@ -35,13 +35,6 @@ func NewSplitter(mem shmem.Mem) *Splitter {
 	return &Splitter{x: shmem.Fast(mem.NewReg(0)), y: shmem.Fast(mem.NewReg(0))}
 }
 
-// Reset restores the splitter to its initial state (no contender has
-// entered). Bookkeeping between executions; charges no steps.
-func (s *Splitter) Reset() {
-	s.x.Restore(0)
-	s.y.Restore(0)
-}
-
 // Visit runs the splitter protocol for the contender with the given id.
 // It performs at most 4 register steps.
 //
@@ -71,34 +64,19 @@ func (s *Splitter) Visit(p shmem.Proc, id uint64) Outcome {
 //
 // Node allocation is bookkeeping outside the shared-memory model (in the
 // paper the infinite tree exists a priori); no simulated steps are charged
-// for it. The node table is unsynchronized on serial runtimes (see
-// shmem.LazyTable).
+// for it. Splitter registers come from the tree's shmem.Region, so Reset
+// is one sweep of the region however many nodes the tree has grown. The
+// node table is unsynchronized on serial runtimes (see shmem.LazyTable).
 type Tree struct {
-	mem   shmem.Mem
+	reg   *shmem.Region
 	nodes *shmem.LazyTable[*Splitter]
-
-	// On serial runtimes splitter shells and registers are chunk-allocated:
-	// node allocation sits on the descent path and would otherwise cost
-	// three allocations per node. arenas keeps every register chunk ever
-	// handed out so Reset can restore the whole tree with a few sweeps.
-	serial bool
-	shells []Splitter
-	chunk  shmem.RegArena
-	off    int
-	arenas []shmem.RegArena
 }
 
-// treeChunk is the number of splitters allocated per chunk (two registers
-// each).
-const treeChunk = 32
-
-// NewTree allocates an empty splitter tree backed by mem.
+// NewTree allocates an empty splitter tree whose registers come from
+// shmem.RegionOf(mem).
 func NewTree(mem shmem.Mem) *Tree {
-	return &Tree{
-		mem:    mem,
-		nodes:  shmem.NewLazyTable[*Splitter](mem),
-		serial: shmem.IsSerial(mem),
-	}
+	reg := shmem.RegionOf(mem)
+	return &Tree{reg: reg, nodes: shmem.NewLazyTable[*Splitter](reg)}
 }
 
 // node returns the splitter at index idx, allocating it on first use.
@@ -106,43 +84,14 @@ func (t *Tree) node(idx uint64) *Splitter {
 	if s, ok := t.nodes.Lookup(idx); ok {
 		return s
 	}
-	return t.nodes.Insert(idx, t.newSplitter())
-}
-
-// newSplitter allocates one splitter, chunked on serial runtimes (the
-// simulator is single-threaded, so the chunk cursor needs no lock).
-func (t *Tree) newSplitter() *Splitter {
-	if !t.serial {
-		return NewSplitter(t.mem)
-	}
-	if t.off == treeChunk || t.chunk == nil {
-		t.shells = make([]Splitter, treeChunk)
-		t.chunk = shmem.NewRegs(t.mem, 2*treeChunk)
-		t.arenas = append(t.arenas, t.chunk)
-		t.off = 0
-	}
-	s := &t.shells[t.off]
-	s.x = shmem.FastAt(t.chunk, 2*t.off)
-	s.y = shmem.FastAt(t.chunk, 2*t.off+1)
-	t.off++
-	return s
+	return t.nodes.Insert(idx, NewSplitter(t.reg))
 }
 
 // Reset restores every allocated splitter to its initial state, keeping
 // the node table: the next execution reuses the same nodes with zero
-// allocation. Must only run between executions.
-func (t *Tree) Reset() {
-	if t.serial {
-		for _, a := range t.arenas {
-			a.Reset()
-		}
-		return
-	}
-	t.nodes.Range(func(_ uint64, s *Splitter) bool {
-		s.Reset()
-		return true
-	})
-}
+// allocation. It sweeps the tree's region, restoring any object that
+// shares it too. Must only run between executions.
+func (t *Tree) Reset() { t.reg.Reset() }
 
 // Size returns the number of allocated splitter nodes (a space-complexity
 // probe for the benchmarks).

@@ -30,7 +30,7 @@ import (
 //
 // Each contender (distinct invocation) must present a distinct nonzero id.
 type RatRace struct {
-	mem  shmem.Mem
+	reg  *shmem.Region // every register of the object, tree and tournament alike
 	make SidedMaker
 	tree *splitter.Tree
 
@@ -50,13 +50,16 @@ type raceNode struct {
 }
 
 // NewRatRace allocates an adaptive TAS whose internal two-process objects
-// are built by mk (MakeTwoProc or MakeUnit).
+// are built by mk (MakeTwoProc or MakeUnit). Its registers come from
+// shmem.RegionOf(mem): a region of its own, or the graph's region when mem
+// is one.
 func NewRatRace(mem shmem.Mem, mk SidedMaker) *RatRace {
+	reg := shmem.RegionOf(mem)
 	return &RatRace{
-		mem:   mem,
+		reg:   reg,
 		make:  mk,
-		tree:  splitter.NewTree(mem),
-		nodes: shmem.NewLazyTable[*raceNode](mem),
+		tree:  splitter.NewTree(reg),
+		nodes: shmem.NewLazyTable[*raceNode](reg),
 	}
 }
 
@@ -65,8 +68,8 @@ func NewRatRace(mem shmem.Mem, mk SidedMaker) *RatRace {
 // races its champion directly. An ablation knob; asymptotics are unchanged.
 func NewRatRaceWithFastPath(mem shmem.Mem, mk SidedMaker) *RatRace {
 	r := NewRatRace(mem, mk)
-	r.fast = splitter.NewSplitter(mem)
-	r.final = mk(mem)
+	r.fast = splitter.NewSplitter(r.reg)
+	r.final = mk(r.reg)
 	return r
 }
 
@@ -74,7 +77,7 @@ func (r *RatRace) node(idx uint64) *raceNode {
 	if n, ok := r.nodes.Lookup(idx); ok {
 		return n
 	}
-	return r.nodes.Insert(idx, &raceNode{children: r.make(r.mem), owner: r.make(r.mem)})
+	return r.nodes.Insert(idx, &raceNode{children: r.make(r.reg), owner: r.make(r.reg)})
 }
 
 // Registers returns the number of allocated splitter nodes, a proxy for the
@@ -83,26 +86,9 @@ func (r *RatRace) Registers() int { return r.tree.Size() }
 
 // Reset restores the object to its unentered state, keeping the lazily
 // built splitter tree and tournament nodes so the next execution runs
-// allocation-free. Must only run between executions.
-func (r *RatRace) Reset() {
-	r.tree.Reset()
-	r.nodes.Range(func(_ uint64, n *raceNode) bool {
-		resetSided(n.children)
-		resetSided(n.owner)
-		return true
-	})
-	if r.fast != nil {
-		r.fast.Reset()
-		resetSided(r.final)
-	}
-}
-
-// resetSided resets any of the Sided implementations (TwoProc, Unit, the
-// LL/SC-compiled TAS). A maker producing an unresettable flavor makes the
-// owning object unresettable too — re-instantiate instead.
-func resetSided(s Sided) {
-	s.(shmem.Resettable).Reset()
-}
+// allocation-free: one sweep of the object's region (which also restores
+// any other object sharing that region). Must only run between executions.
+func (r *RatRace) Reset() { r.reg.Reset() }
 
 // TestAndSet runs the contender with the given distinct nonzero id.
 func (r *RatRace) TestAndSet(p shmem.Proc, id uint64) bool {

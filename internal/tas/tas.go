@@ -16,11 +16,7 @@
 // Tromp–Vitányi protocol.
 package tas
 
-import (
-	"sync"
-
-	"repro/internal/shmem"
-)
+import "repro/internal/shmem"
 
 // TAS is a one-shot multi-process test-and-set object. TestAndSet returns
 // true for exactly one caller (the winner); every other caller, in every
@@ -73,11 +69,6 @@ func (t *Unit) TestAndSetSide(p shmem.Proc, _ int) bool {
 	return t.w.CompareAndSwap(p, 0, 1)
 }
 
-// Reset restores the object to its unwon state (between executions only).
-func (t *Unit) Reset() {
-	t.w.Restore(0)
-}
-
 // TwoProc is a randomized two-process test-and-set built from three shared
 // words: one single-writer register per side plus one arbitration word.
 //
@@ -123,106 +114,6 @@ func NewTwoProc(mem shmem.Mem) *TwoProc {
 func (t *TwoProc) init(mem shmem.Mem) {
 	t.s = [2]shmem.FastReg{shmem.Fast(mem.NewReg(0)), shmem.Fast(mem.NewReg(0))}
 	t.w = shmem.Fast(mem.NewCASReg(0))
-}
-
-// Reset restores the object to its unentered state (between executions
-// only).
-func (t *TwoProc) Reset() {
-	t.s[0].Restore(0)
-	t.s[1].Restore(0)
-	t.w.Restore(0)
-}
-
-// poolChunk is the number of TwoProc objects (three registers each) a Pool
-// allocates per chunk.
-const poolChunk = 32
-
-// Pool batch-allocates TwoProc objects and is reusable across executions:
-// Reset restores every object it ever handed out, so an instantiated
-// object graph whose comparators came from the pool serves the next
-// execution without reallocating — with bit-identical step counts per
-// (seed, adversary), since all shared words are zero again (the pooled
-// reuse test pins this).
-//
-// On serial runtimes (the simulator — see shmem.Serial) the maker is
-// called by one goroutine at a time, so the chunk cursor needs no lock and
-// registers come from bulk arenas; on concurrent runtimes handed-out
-// objects are tracked under a lock (construction is off the step-counted
-// hot path).
-type Pool struct {
-	mem    shmem.Mem
-	serial bool
-
-	// Serial path: TwoProc shells and their registers, chunked.
-	shells []TwoProc
-	chunk  shmem.RegArena
-	off    int
-	arenas []shmem.RegArena
-
-	// Concurrent path: individually allocated objects, tracked for Reset.
-	mu   sync.Mutex
-	objs []*TwoProc
-}
-
-// NewPool returns an empty pool over mem.
-func NewPool(mem shmem.Mem) *Pool {
-	return &Pool{mem: mem, serial: shmem.IsSerial(mem)}
-}
-
-// Make is a SidedMaker drawing from the pool. The mem argument must be the
-// pool's own runtime (the SidedMaker signature carries it for makers
-// without captured state).
-func (pl *Pool) Make(shmem.Mem) Sided {
-	if !pl.serial {
-		t := NewTwoProc(pl.mem)
-		pl.mu.Lock()
-		pl.objs = append(pl.objs, t)
-		pl.mu.Unlock()
-		return t
-	}
-	if pl.off == poolChunk || pl.chunk == nil {
-		pl.shells = make([]TwoProc, poolChunk)
-		pl.chunk = shmem.NewRegs(pl.mem, 3*poolChunk)
-		pl.arenas = append(pl.arenas, pl.chunk)
-		pl.off = 0
-	}
-	t := &pl.shells[pl.off]
-	t.s = [2]shmem.FastReg{shmem.FastAt(pl.chunk, 3*pl.off), shmem.FastAt(pl.chunk, 3*pl.off+1)}
-	t.w = shmem.FastAt(pl.chunk, 3*pl.off+2)
-	pl.off++
-	return t
-}
-
-// Reset restores every object the pool has handed out to its unentered
-// state: one sweep per arena on serial runtimes. Must only run between
-// executions.
-func (pl *Pool) Reset() {
-	if pl.serial {
-		for _, a := range pl.arenas {
-			a.Reset()
-		}
-		return
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	for _, t := range pl.objs {
-		t.Reset()
-	}
-}
-
-// MakeTwoProcPool returns a register-TAS maker that batch-allocates
-// TwoProc objects from a fresh Pool on serial runtimes. The objects built
-// are identical to MakeTwoProc's, so simulated executions are unchanged.
-// On concurrent runtimes it returns plain MakeTwoProc: an anonymous pool's
-// Reset is unreachable (object graphs reset through their own tables), so
-// the concurrent path's per-allocation lock and tracking would be pure
-// overhead. Callers that want pooled reuse across executions hold the
-// Pool themselves (NewPool) and call its Reset.
-func MakeTwoProcPool(mem shmem.Mem) SidedMaker {
-	if !shmem.IsSerial(mem) {
-		return MakeTwoProc
-	}
-	return NewPool(mem).Make
 }
 
 func packRound(round, coin uint64) uint64 { return round<<1 | coin }
@@ -271,6 +162,13 @@ func (t *TwoProc) claim(p shmem.Proc, side int) bool {
 
 // SidedMaker builds the two-process TAS flavor a composite algorithm uses
 // for its internal comparators and tournament edges.
+//
+// Contract: a maker allocates all of the object's shared state from the
+// Mem it is handed, and captures none of its own. Composite objects hand
+// their makers the shmem.Region their graph lives on, and their Reset is
+// that region's one sweep — state a maker allocated elsewhere would
+// survive Reset and leak one execution into the next. Every maker in this
+// repository (MakeTwoProc, MakeUnit, llsc.MakeCompiled) obeys it.
 type SidedMaker func(mem shmem.Mem) Sided
 
 // MakeTwoProc allocates randomized register-based two-process TAS objects.

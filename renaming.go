@@ -175,28 +175,17 @@ func Oscillator(burst int) Adversary { return sim.NewOscillator(burst) }
 type Option func(*options)
 
 type options struct {
-	hardware bool
-	base     sortnet.Base
+	mk   tas.SidedMaker // internal two-process TAS flavor
+	base sortnet.Base
 }
 
 // compileOptions folds the option list into the blueprint-side settings.
 func compileOptions(opts []Option) options {
-	o := options{base: sortnet.BaseOEM}
+	o := options{mk: tas.MakeTwoProc, base: sortnet.BaseOEM}
 	for _, f := range opts {
 		f(&o)
 	}
 	return o
-}
-
-// maker resolves the internal two-process TAS maker for one instantiation
-// on mem — the runtime-dependent half of the options.
-func (o options) maker(mem Mem) tas.SidedMaker {
-	if o.hardware {
-		return tas.MakeUnit
-	}
-	// Register-based TAS objects are allocated in droves; the pool maker
-	// batches them on serial (simulator) runtimes.
-	return tas.MakeTwoProcPool(mem)
 }
 
 // WithHardwareTAS makes internal two-process test-and-set objects a single
@@ -205,14 +194,14 @@ func (o options) maker(mem Mem) tas.SidedMaker {
 // (Section 1, Discussion); it is also the fast choice under the native
 // runtime.
 func WithHardwareTAS() Option {
-	return func(o *options) { o.hardware = true }
+	return func(o *options) { o.mk = tas.MakeUnit }
 }
 
 // WithRegisterTAS makes internal two-process test-and-set objects the
 // randomized register-based protocol with the Tromp–Vitányi cost profile
 // (the default; matches the paper's pure shared-memory model).
 func WithRegisterTAS() Option {
-	return func(o *options) { o.hardware = false }
+	return func(o *options) { o.mk = tas.MakeTwoProc }
 }
 
 // WithBalancedBase builds adaptive sorting networks from the balanced
@@ -266,7 +255,7 @@ func CompileRenaming(opts ...Option) *RenamingBlueprint {
 
 // Instantiate stamps the blueprint's shared state onto mem.
 func (b *RenamingBlueprint) Instantiate(mem Mem) *StrongAdaptive {
-	return b.bp.Instantiate(mem, b.o.maker(mem))
+	return b.bp.Instantiate(mem, b.o.mk)
 }
 
 // NewRenaming builds the strong adaptive renaming object of Section 6.2 on
@@ -291,7 +280,7 @@ func CompileBitBatching(n int, opts ...Option) *BitBatchingBlueprint {
 
 // Instantiate stamps the blueprint's shared state onto mem.
 func (b *BitBatchingBlueprint) Instantiate(mem Mem) *BitBatching {
-	return b.bp.Instantiate(mem, b.o.maker(mem))
+	return b.bp.Instantiate(mem, b.o.mk)
 }
 
 // NewBitBatchingRenaming builds the Section 4 algorithm: renaming into
@@ -321,7 +310,7 @@ func CompileNetworkRenaming(m int, opts ...Option) *NetworkRenamingBlueprint {
 
 // Instantiate stamps the blueprint's shared state onto mem.
 func (b *NetworkRenamingBlueprint) Instantiate(mem Mem) *RenamingNetwork {
-	return b.bp.Instantiate(mem, b.o.maker(mem))
+	return b.bp.Instantiate(mem, b.o.mk)
 }
 
 // NewNetworkRenaming builds the Section 5 construction over Batcher's
@@ -333,7 +322,7 @@ func NewNetworkRenaming(mem Mem, m int, opts ...Option) *RenamingNetwork {
 
 // NewLinearProbeRenaming builds the linear-time baseline renamer.
 func NewLinearProbeRenaming(mem Mem, opts ...Option) *LinearProbe {
-	return core.NewLinearProbe(mem, compileOptions(opts).maker(mem))
+	return core.NewLinearProbe(mem, compileOptions(opts).mk)
 }
 
 // CounterBlueprint is the compiled shape of the Section 8.1 counter (its
@@ -352,7 +341,7 @@ func CompileCounter(opts ...Option) *CounterBlueprint {
 
 // Instantiate stamps the blueprint's shared state onto mem.
 func (b *CounterBlueprint) Instantiate(mem Mem) *Counter {
-	return core.NewMonotoneCounterWith(b.bp.Instantiate(mem, b.o.maker(mem)), maxreg.NewUnbounded(mem))
+	return b.bp.InstantiateCounter(mem, b.o.mk)
 }
 
 // NewCounter builds the monotone-consistent counter of Section 8.1:
@@ -380,14 +369,14 @@ func NewMaxRegister(mem Mem) MaxRegister {
 // NewLTAS builds the linearizable ℓ-test-and-set of Algorithm 1: exactly
 // min(ℓ, callers) invocations return true.
 func NewLTAS(mem Mem, ell uint64, opts ...Option) *LTAS {
-	return core.NewLTestAndSet(mem, ell, compileOptions(opts).maker(mem))
+	return core.NewLTestAndSet(mem, ell, compileOptions(opts).mk)
 }
 
 // NewFetchInc builds the linearizable m-valued fetch-and-increment of
 // Algorithm 2: the i-th increment returns i (from 0), saturating at m−1,
 // in O(log k · log m) expected steps.
 func NewFetchInc(mem Mem, m uint64, opts ...Option) *FetchInc {
-	return core.NewFetchInc(mem, m, compileOptions(opts).maker(mem))
+	return core.NewFetchInc(mem, m, compileOptions(opts).mk)
 }
 
 // CountingNetworkBlueprint is the compiled wiring of Bitonic[w] (cached

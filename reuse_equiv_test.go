@@ -66,6 +66,10 @@ func equivCases() []equivCase {
 			rn := renaming.CompileNetworkRenaming(16).Instantiate(mem)
 			return func(p renaming.Proc) { rn.Rename(p, uint64(p.ID()*2)+1) }, rn.Reset
 		}},
+		{"linear-probe", 5, func(mem renaming.Mem) (func(p renaming.Proc), func()) {
+			lp := renaming.NewLinearProbeRenaming(mem)
+			return func(p renaming.Proc) { lp.Rename(p, uint64(p.ID())+1) }, lp.Reset
+		}},
 		{"counter", 4, func(mem renaming.Mem) (func(p renaming.Proc), func()) {
 			c := renaming.CompileCounter().Instantiate(mem)
 			return func(p renaming.Proc) {
