@@ -33,7 +33,7 @@ func E15Ablations(cfg Config) *Table {
 	// graph per (variant, k), reset between seeds.
 	type variant struct {
 		name  string
-		sweep func(cfg Config, k int) func(seed uint64) (st *shmem.Stats, ok bool, comps uint64)
+		sweep func(k int) func(seed uint64) (st *shmem.Stats, ok bool, comps uint64)
 	}
 	variants := []variant{
 		{"renaming/base=oem", renamingSweep(sortnet.BaseOEM, tas.MakeTwoProc)},
@@ -47,7 +47,7 @@ func E15Ablations(cfg Config) *Table {
 		for _, k := range ks {
 			var steps, comps agg
 			allOK := true
-			run := v.sweep(cfg, k)
+			run := v.sweep(k)
 			for seed := 0; seed < cfg.Seeds; seed++ {
 				st, ok, c := run(uint64(seed))
 				if !ok {
@@ -86,7 +86,7 @@ func E16Wakeup(cfg Config) *Table {
 		var mean agg
 		ones := -1
 		got := 0
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			sa := core.CompileStrongAdaptive(sortnet.BaseOEM).Instantiate(mem, llsc.MakeCompiled)
 			w := core.NewWakeup(mem, k, sa)
 			return func(p shmem.Proc) {
@@ -110,10 +110,10 @@ func E16Wakeup(cfg Config) *Table {
 
 // renamingSweep builds the compile-once/reset-many runner for one strong
 // adaptive renaming variant at one contention level.
-func renamingSweep(base sortnet.Base, mk tas.SidedMaker) func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
-	return func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
+func renamingSweep(base sortnet.Base, mk tas.SidedMaker) func(k int) func(uint64) (*shmem.Stats, bool, uint64) {
+	return func(k int) func(uint64) (*shmem.Stats, bool, uint64) {
 		names := make([]uint64, k)
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			sa := core.CompileStrongAdaptive(base).Instantiate(mem, mk)
 			return func(p shmem.Proc) {
 				names[p.ID()] = sa.Rename(p, uint64(p.ID())+1)
@@ -128,10 +128,10 @@ func renamingSweep(base sortnet.Base, mk tas.SidedMaker) func(cfg Config, k int)
 
 // ratRaceSweep builds the compile-once/reset-many runner for the RatRace
 // fast-path ablation at one contention level.
-func ratRaceSweep(fast bool) func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
-	return func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
+func ratRaceSweep(fast bool) func(k int) func(uint64) (*shmem.Stats, bool, uint64) {
+	return func(k int) func(uint64) (*shmem.Stats, bool, uint64) {
 		wins := 0
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			var rr *tas.RatRace
 			if fast {
 				rr = tas.NewRatRaceWithFastPath(mem, tas.MakeTwoProc)

@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/shmem"
+	"repro/internal/sortnet"
+	"repro/internal/tas"
 )
 
 // quickCfg keeps experiment smoke tests fast.
@@ -137,5 +142,34 @@ func TestAllExperimentsRun(t *testing.T) {
 		if !seen[id] {
 			t.Errorf("experiment %s missing", id)
 		}
+	}
+}
+
+// TestSweepReuseMatchesFresh pins the sweep's reset-many path: one sweep
+// reused across seeds (reset between runs) must produce exactly the Stats,
+// verdict and counted events of a new sweep per seed, which builds its
+// runtime and object graph from scratch.
+func TestSweepReuseMatchesFresh(t *testing.T) {
+	const k = 8
+	cases := []struct {
+		name  string
+		sweep func(k int) func(uint64) (*shmem.Stats, bool, uint64)
+	}{
+		{"renaming", renamingSweep(sortnet.BaseOEM, tas.MakeTwoProc)},
+		{"ratrace", ratRaceSweep(true)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reused := tc.sweep(k)
+			for seed := uint64(0); seed < 6; seed++ {
+				// Compare before the next reused run: it resets these Stats.
+				got, gotOK, gotEv := reused(seed)
+				want, wantOK, wantEv := tc.sweep(k)(seed)
+				if !reflect.DeepEqual(want, got) || gotOK != wantOK || gotEv != wantEv {
+					t.Fatalf("seed %d: reused sweep diverged from a fresh one\nfresh: %+v ok=%v ev=%d\nreused: %+v ok=%v ev=%d",
+						seed, want, wantOK, wantEv, got, gotOK, gotEv)
+				}
+			}
+		})
 	}
 }

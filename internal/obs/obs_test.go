@@ -155,10 +155,14 @@ func TestExemplarsKeepSlowest(t *testing.T) {
 func TestRingOverwriteDropsOldest(t *testing.T) {
 	c := newTestCollector(t, 1)
 	// Overfill one ring without folding: the folder must recover, keeping
-	// the newest window and accounting only what it saw.
+	// the newest window and accounting only what it saw. Holding mu keeps
+	// the background folder out for the whole fill (Record takes no lock),
+	// however long the fill takes.
+	c.mu.Lock()
 	for i := 0; i < 3*ringLen; i++ {
 		c.Record(Span{Trace: uint64(i + 1), Start: int64(i), Dur: 1, Kind: KindOp, Attr: PackOp(1, 0, 0, 0)})
 	}
+	c.mu.Unlock()
 	c.Fold()
 	if got := c.Folded(); got == 0 || got > ringLen {
 		t.Fatalf("Folded = %d, want (0, %d]", got, ringLen)

@@ -63,8 +63,8 @@
 #   SCENDUR=5s scripts/bench.sh      # longer scenario windows
 #
 # The experiment tables (renamebench) have their own machine-readable
-# output: go run ./cmd/renamebench -json; the serving-throughput table is
-# go run ./cmd/renamebench -parallel <G>.
+# output: go run ./cmd/renamebench -json. Serving throughput is the
+# parallel pass below (the *Throughput benchmarks under -cpu $CPUS).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
