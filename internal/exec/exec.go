@@ -10,8 +10,9 @@
 // exec closes that split:
 //
 //   - An Execution owns the participant lifecycle of repeated k-process
-//     runs on one runtime (reusing the native RunGroup machinery, so the
-//     steady state stays allocation-free).
+//     runs on one runtime. Natively it reuses one RunGroup, whose processes
+//     run on the runtime's parked worker goroutines rather than fresh ones,
+//     so a disarmed run allocates nothing in steady state.
 //   - A FaultPlan (crash-at-step, stall windows, pausing) arms on either
 //     runtime: natively through a step hook whose dispatch is type-based
 //     (zero cost while disarmed), on the simulator by wrapping the

@@ -20,7 +20,7 @@ type Mix struct {
 	Inc int `json:"inc,omitempty"`
 	// Read runs one read on a pooled monotone-consistent counter.
 	Read int `json:"read,omitempty"`
-	// Wave runs one k-process execution wave: k goroutines rename
+	// Wave runs one k-process execution wave: k processes rename
 	// concurrently against one checked-out instance through the execution
 	// layer, with the scenario's FaultPlan (if any) armed. k is WaveK, or
 	// time-varying under Churn.

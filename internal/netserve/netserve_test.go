@@ -104,10 +104,11 @@ func TestWireRoundTrip(t *testing.T) {
 // TestServeFrameAllocationFree pins the tentpole claim: the steady-state
 // server request path — decode a batch, run its ops against the pools,
 // encode the reply — performs zero allocations per frame. Waves are
-// excluded (they spawn goroutines by design), as is phased Inc: the
-// default phased spine allocates in its own Inc path in-process too (the
-// CAS spine is its alloc-free configuration), so it is a property of the
-// counter, not of the wire tier.
+// excluded (Execute allocates the closure binding the wave body to its
+// instance), as is phased Inc: the default phased spine allocates in its
+// own Inc path in-process too (the CAS spine is its alloc-free
+// configuration), so it is a property of the counter, not of the wire
+// tier.
 func TestServeFrameAllocationFree(t *testing.T) {
 	srv := newTestServer(t)
 	ss := srv.newSession()

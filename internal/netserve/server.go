@@ -45,7 +45,8 @@ import (
 )
 
 // maxWaveK bounds the width of an OpWave execution: wire input is
-// untrusted, and a wave spawns k goroutines.
+// untrusted, and each process of a wave runs on a parked worker goroutine,
+// so the bound caps how many workers one hostile wave can add.
 const maxWaveK = 32
 
 // histMergePeriod is how many completed ops a session accumulates in its
@@ -514,8 +515,9 @@ func waveBody(p shmem.Proc, sa *core.StrongAdaptive) { sa.Rename(p, uint64(p.ID(
 
 // waveOp runs one k-process execution wave against a checked-out renamer
 // (k from the wire, clamped to [1, maxWaveK]) and returns the width
-// actually run. Waves spawn goroutines and are not part of the 0-alloc
-// pin; the per-op kinds above are.
+// actually run. A wave's processes run on parked workers; a wave only
+// starts a goroutine when more of its processes run at once than workers
+// are idle.
 func waveOp(pool *serve.Pool[*core.StrongAdaptive], arg uint64) uint64 {
 	k := int(arg)
 	if k < 1 {

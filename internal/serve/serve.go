@@ -168,8 +168,10 @@ func (in *Instance[T]) Put() {
 // Execute runs one k-process execution against the instance's object graph
 // and returns its accounting. Executions go through the unified execution
 // layer (internal/exec): on the native runtime the proc contexts are pooled
-// per instance, so repeated Executes allocate nothing beyond the k
-// goroutines. The Stats are valid until the next Execute on this instance.
+// per instance and the processes run on the runtime's parked workers, so
+// a repeated Execute allocates only the closure that binds body to the
+// object graph. The Stats are valid until the next Execute on this
+// instance.
 func (in *Instance[T]) Execute(k int, body func(p shmem.Proc, obj T)) *shmem.Stats {
 	return in.Exec(k).Run(func(p shmem.Proc) { body(p, in.Obj) })
 }
@@ -177,7 +179,9 @@ func (in *Instance[T]) Execute(k int, body func(p shmem.Proc, obj T)) *shmem.Sta
 // Exec returns the instance's execution context for k-process executions,
 // building it on first use of k and keeping it for later checkouts, so a
 // workload that cycles contention levels allocates no execution contexts
-// in steady state. The holder may arm a FaultPlan or trace recording on it
+// in steady state. The contexts hold no goroutines (the workers belong to
+// the runtime package), so a cached context costs only its proc slots.
+// The holder may arm a FaultPlan or trace recording on it
 // before calling Run — chaos-testing a checked-out instance uses the same
 // layer as a standalone execution.
 func (in *Instance[T]) Exec(k int) *exec.Execution {

@@ -58,10 +58,9 @@ func (h *hookedProc) Step(op Op) {
 	h.p.Step(op)
 }
 
-// spawnFunc returns the per-goroutine body for an execution: body itself
-// when no hook is armed — the exact pre-hook frame chain, preserving the
-// goroutines' stack-growth profile — or the hooked wrapper. Assigned once,
-// so the spawn closure captures it by value.
+// spawnFunc returns the per-process body for an execution: body itself
+// when no hook is armed, so a disarmed worker calls it with no wrapper
+// frame and no closure allocation, or the hooked wrapper.
 func spawnFunc(h StepHook, body func(Proc), crashed []bool) func(Proc) {
 	if h == nil {
 		return body
@@ -71,10 +70,9 @@ func spawnFunc(h StepHook, body func(Proc), crashed []bool) func(Proc) {
 
 // runHooked executes body on p behind a hookedProc, translating
 // hook-initiated crashes into a clean early exit recorded in
-// crashed[p.ID()]. Disarmed executions never call it — they spawn body
-// directly (see Run/RunGroup.Run), keeping the disarmed goroutine's frame
-// chain, and therefore its stack-growth profile, exactly as it was before
-// hooks existed.
+// crashed[p.ID()]. The recovered crash returns normally, so the worker
+// that ran the process survives to take the next job. Disarmed executions
+// never call it — their workers run body directly (see spawnFunc).
 func runHooked(p *NativeProc, h StepHook, body func(Proc), crashed []bool) {
 	defer func() {
 		v := recover()

@@ -106,9 +106,10 @@ func (n *Native) newReg(init uint64) CASReg {
 	return r
 }
 
-// Run executes body on k goroutines and blocks until all return (or, with
-// a step hook armed, crash). Stats.Crashed is populated exactly when a hook
-// is armed — the native analogue of the simulator's crash accounting.
+// Run executes body once per process, each on its own parked worker
+// goroutine (see dispatch), and blocks until all return (or, with a step
+// hook armed, crash). Stats.Crashed is populated exactly when a hook is
+// armed — the native analogue of the simulator's crash accounting.
 func (n *Native) Run(k int, body func(p Proc)) *Stats {
 	// One contiguous, padded slice: each proc's counters live in their own
 	// cache lines, so concurrent Step accounting never false-shares.
@@ -118,7 +119,7 @@ func (n *Native) Run(k int, body func(p Proc)) *Stats {
 	if h != nil {
 		crashed = make([]bool, k)
 	}
-	spawn := spawnFunc(h, body, crashed)
+	run := spawnFunc(h, body, crashed)
 	var wg sync.WaitGroup
 	wg.Add(k)
 	for i := 0; i < k; i++ {
@@ -126,10 +127,7 @@ func (n *Native) Run(k int, body func(p Proc)) *Stats {
 		p.id = i
 		p.rng = rng.Derived(n.seed, uint64(i))
 		p.rt = n
-		go func() {
-			defer wg.Done()
-			spawn(p)
-		}()
+		dispatch(job{run, p, &wg})
 	}
 	wg.Wait()
 	st := &Stats{PerProc: make([]OpCounts, k), Crashed: crashed}
@@ -149,9 +147,10 @@ func (n *Native) NewProc(id int) *NativeProc {
 }
 
 // RunGroup is a reusable execution context for repeated Run calls against
-// the same runtime: the proc contexts and the Stats record are allocated
-// once and recycled, so the steady state of a serving loop spends zero
-// allocations per execution beyond the k goroutines themselves.
+// the same runtime: the proc contexts, the Stats record and the wait group
+// are allocated once and recycled, and the processes run on parked workers
+// (see dispatch), so the steady state of a serving loop allocates nothing
+// per execution.
 //
 // Each Run re-derives the same per-process coin streams Native.Run would,
 // so a RunGroup execution is indistinguishable from a plain Run. The
@@ -162,6 +161,7 @@ type RunGroup struct {
 	stats   Stats
 	hook    StepHook
 	crashed []bool
+	wg      sync.WaitGroup
 }
 
 // NewRunGroup returns a reusable context for k-process executions.
@@ -199,9 +199,8 @@ func (g *RunGroup) Run(body func(p Proc)) *Stats {
 		}
 		crashed = g.crashed
 	}
-	spawn := spawnFunc(h, body, crashed)
-	var wg sync.WaitGroup
-	wg.Add(len(g.procs))
+	run := spawnFunc(h, body, crashed)
+	g.wg.Add(len(g.procs))
 	for i := range g.procs {
 		p := &g.procs[i]
 		p.id = i
@@ -209,17 +208,56 @@ func (g *RunGroup) Run(body func(p Proc)) *Stats {
 		p.rt = g.n
 		p.steps = 0
 		p.counts = OpCounts{}
-		go func() {
-			defer wg.Done()
-			spawn(p)
-		}()
+		dispatch(job{run, p, &g.wg})
 	}
-	wg.Wait()
+	g.wg.Wait()
 	for i := range g.procs {
 		g.stats.PerProc[i] = g.procs[i].counts
 	}
 	g.stats.Crashed = crashed
 	return &g.stats
+}
+
+// job is one process of a native execution: its body, its context, and
+// the execution's wait group.
+type job struct {
+	run func(Proc)
+	p   *NativeProc
+	wg  *sync.WaitGroup
+}
+
+// do runs the job. Done is deferred so a body that calls runtime.Goexit
+// (t.FailNow, say) still completes its job; the worker dies with it.
+func (j job) do() {
+	defer j.wg.Done()
+	j.run(j.p)
+}
+
+// jobs hands processes to parked workers. It is unbuffered: a send
+// succeeds only when a worker is waiting for it.
+var jobs = make(chan job)
+
+// dispatch runs j on a parked worker, or on a new one when none is idle.
+// The workers are process-wide, so their number tracks the peak number of
+// concurrently running processes, and their stacks stay grown across
+// executions instead of regrowing in every fresh goroutine. (Workers per
+// group would pin goroutines to every cached execution context.) A worker
+// lives until the process exits, or until a body it runs calls
+// runtime.Goexit; the GC shrinks the stacks of parked ones.
+func dispatch(j job) {
+	select {
+	case jobs <- j:
+	default:
+		go worker(j)
+	}
+}
+
+// worker runs j, then parks until the next job arrives.
+func worker(j job) {
+	for {
+		j.do()
+		j = <-jobs
+	}
 }
 
 type nativeReg struct {
