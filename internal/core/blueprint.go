@@ -176,7 +176,7 @@ func (bp *StrongAdaptiveBlueprint) InstantiateWithTempNamer(mem shmem.Mem, tree 
 		mk:    mk,
 		tree:  tree,
 		ad:    bp.ad,
-		comps: shmem.NewLazyTable[tas.Sided](reg),
+		comps: shmem.NewLazyTable[*compNode](reg),
 	}
 }
 

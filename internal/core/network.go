@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/shmem"
 	"repro/internal/sortnet"
@@ -104,8 +105,57 @@ type StrongAdaptive struct {
 	ownTree bool
 	ad      *sortnet.Adaptive
 
-	// comps lazily maps Comp.Key() to the comparator's shared TAS object.
-	comps *shmem.LazyTable[tas.Sided]
+	// comps lazily maps Comp.Key() to the comparator's node: its shared
+	// TAS object plus the cached links to the comparators that follow it.
+	// Walks find their entry comparator here and then follow links; a
+	// node is looked up again only when one of its links is first set.
+	comps *shmem.LazyTable[*compNode]
+}
+
+// compNode is one comparator of a StrongAdaptive instance. Besides the
+// shared TAS object it caches the walk's topology: a comparator's
+// continuation depends only on which comparator it is and which wire the
+// process leaves on, so succ[0] (after winning, leaving on the up wire)
+// and succ[1] (after losing, on the down wire) are computed once and then
+// followed as pointers. A nil link is not computed yet; walkEnd means the
+// walk leaves the network there.
+//
+// Links are a topology cache, not shared memory: setting or following one
+// is charged no step, they survive Reset (the region sweep touches only
+// registers), and they behave alike on every runtime. Concurrent walkers
+// may set a link at once, but they store the same pointer: LazyTable.Insert
+// returns one node per key. The node keeps the key and the down wire (the
+// up wire is the key's Low field) rather than the 32-byte sortnet.Comp,
+// which keeps it at 48 bytes on 64-bit platforms, within one cache line's
+// size; padding it to a full aligned line measured no faster.
+type compNode struct {
+	tas  tas.Sided
+	key  uint64
+	down uint64
+	succ [2]atomic.Pointer[compNode]
+}
+
+// walkEnd is the shared link target past an output wire.
+var walkEnd = new(compNode)
+
+// node returns the comparator's node, creating it on first use.
+func (sa *StrongAdaptive) node(c sortnet.Comp, down uint64) *compNode {
+	key := c.Key()
+	if n, ok := sa.comps.Lookup(key); ok {
+		return n
+	}
+	return sa.comps.Insert(key, &compNode{tas: sa.mk(sa.reg), key: key, down: down})
+}
+
+// link computes and stores n's successor after leaving on wire w through
+// side exit (0 up, 1 down): the slow path of the linked walk.
+func (sa *StrongAdaptive) link(n *compNode, exit int, w uint64) *compNode {
+	next := walkEnd
+	if c, _, down, ok := sa.ad.Next(sortnet.CompOfKey(n.key), w); ok {
+		next = sa.node(c, down)
+	}
+	n.succ[exit].Store(next)
+	return next
 }
 
 var _ Renamer = (*StrongAdaptive)(nil)
@@ -152,14 +202,6 @@ func (sa *StrongAdaptive) Region() *shmem.Region { return sa.reg }
 // report its per-level depths against Theorem 2).
 func (sa *StrongAdaptive) Network() *sortnet.Adaptive { return sa.ad }
 
-func (sa *StrongAdaptive) comp(c sortnet.Comp) tas.Sided {
-	key := c.Key()
-	if t, ok := sa.comps.Lookup(key); ok {
-		return t
-	}
-	return sa.comps.Insert(key, sa.mk(sa.reg))
-}
-
 // ComparatorObjects returns the number of comparator TAS objects allocated
 // so far — the adaptive space probe.
 func (sa *StrongAdaptive) ComparatorObjects() int {
@@ -176,22 +218,33 @@ func (sa *StrongAdaptive) SplitterNodes() int {
 }
 
 // Rename returns a name in [1, k]. uid must be globally unique and nonzero.
+// Stage two enters the network at the comparator of the temporary name's
+// wire and then follows the comparators' successor links, computing a
+// link from the network only the first time any walk leaves through it.
 func (sa *StrongAdaptive) Rename(p shmem.Proc, uid uint64) uint64 {
 	tmp := sa.tree.Acquire(p, uid) // stage one: temporary name ≥ 1
 	wire := tmp - 1
-	out, _ := sa.ad.Walk(wire, func(c sortnet.Comp, up, down uint64) bool {
+	c, _, down, ok := sa.ad.First(wire)
+	if !ok {
+		return tmp
+	}
+	for n := sa.node(c, down); n != walkEnd; {
 		side := 0
-		if wire == down {
+		if wire == n.down {
 			side = 1
 		}
 		shmem.NoteFast(p, shmem.EvComparator)
-		won := sa.comp(c).TestAndSetSide(p, side)
-		if won {
-			wire = up
+		exit := 0
+		if n.tas.TestAndSetSide(p, side) {
+			wire = sortnet.CompOfKey(n.key).Low // winner moves up
 		} else {
-			wire = down
+			wire, exit = n.down, 1 // loser moves down
 		}
-		return won
-	})
-	return out + 1
+		next := n.succ[exit].Load()
+		if next == nil {
+			next = sa.link(n, exit, wire)
+		}
+		n = next
+	}
+	return wire + 1
 }

@@ -28,10 +28,22 @@ type Comp struct {
 
 // Key packs the comparator identity into one word for use as a map key on
 // the renaming hot path (hashing a uint64 is several times cheaper than
-// hashing the 32-byte struct). Level < 8 levels (width 2^32 after five),
-// Part < 4, Stage < 2^16 (depth of the widest base is 528), Low < 2^33.
+// hashing the 32-byte struct). Bits 61–63 hold Level (< 8; width 2^32
+// after five), bits 59–60 Part, bits 40–58 Stage (< 2^19; the deepest
+// base has 1024 stages) and bits 0–39 Low (< 2^32). The packing is
+// injective on the network's comparators, and CompOfKey inverts it.
 func (c Comp) Key() uint64 {
 	return uint64(c.Level)<<61 | uint64(c.Part)<<59 | uint64(c.Stage)<<40 | c.Low
+}
+
+// CompOfKey decodes a key produced by Comp.Key.
+func CompOfKey(key uint64) Comp {
+	return Comp{
+		Level: int(key >> 61),
+		Part:  Part(key >> 59 & 3),
+		Stage: int(key >> 40 & (1<<19 - 1)),
+		Low:   key & (1<<40 - 1),
+	}
 }
 
 // Base selects the sorting network used for the A and C layers of every
@@ -109,9 +121,12 @@ var sharedAdaptive = [2]func() *Adaptive{
 
 // SharedAdaptive returns a process-wide shared instance of the full-width
 // (2^32-wire) adaptive network for the given base. An Adaptive is immutable
-// after construction and Walk keeps no state in the network, so one instance
-// serves any number of concurrent renamers; sharing it removes the dominant
-// per-construction allocation (the per-level base networks).
+// after construction and its cursor (First/Next, and Walk over them) keeps
+// no state in the network, so one instance serves any number of concurrent
+// renamers; sharing it removes the dominant per-construction allocation
+// (the per-level base networks). Renamers cache the cursor's answers per
+// comparator, so on their hot path the network is consulted only the first
+// time a walk leaves a comparator through a given wire.
 func SharedAdaptive(base Base) *Adaptive {
 	return sharedAdaptive[base]()
 }
@@ -177,56 +192,92 @@ func (ad *Adaptive) LevelOfWire(wire uint64) int {
 // Walk routes a value entering on global wire in through the network.
 // decide is invoked for every comparator the value meets, with the global
 // up (min) and down (max) wires; it returns true to take the up wire.
-// Walk returns the output wire and the number of comparators met.
+// Walk returns the output wire and the number of comparators met. It is
+// a loop over the First/Next cursor, the package's one traversal.
 func (ad *Adaptive) Walk(in uint64, decide func(c Comp, up, down uint64) bool) (out uint64, met int) {
-	if in >= ad.Width() {
-		panic(fmt.Sprintf("sortnet: entry wire %d out of range for width %d", in, ad.Width()))
+	out = in
+	c, up, down, ok := ad.First(in)
+	for ok {
+		met++
+		if decide(c, up, down) {
+			out = up
+		} else {
+			out = down
+		}
+		c, up, down, ok = ad.Next(c, out)
 	}
-	out = ad.walkLevel(len(ad.levels)-1, in, decide, &met)
 	return out, met
 }
 
-func (ad *Adaptive) walkLevel(lvl int, w uint64, decide func(Comp, uint64, uint64) bool, met *int) uint64 {
-	if lvl == 0 {
-		if w <= 1 {
-			*met++
-			if decide(Comp{Level: 0, Part: PartLeaf, Stage: 0, Low: 0}, 0, 1) {
-				return 0
-			}
-			return 1
-		}
-		return w
+// First returns the first comparator a value entering on global wire in
+// meets, with its up and down wires, or ok == false if it meets none.
+func (ad *Adaptive) First(in uint64) (c Comp, up, down uint64, ok bool) {
+	if in >= ad.Width() {
+		panic(fmt.Sprintf("sortnet: entry wire %d out of range for width %d", in, ad.Width()))
 	}
-	l := ad.levels[lvl]
-	if w >= l.ell {
-		w = ad.walkBase(lvl, PartA, w, decide, met)
-	}
-	if w < ad.levels[lvl-1].width {
-		w = ad.walkLevel(lvl-1, w, decide, met)
-	}
-	if w >= l.ell {
-		w = ad.walkBase(lvl, PartC, w, decide, met)
-	}
-	return w
+	return ad.seek(len(ad.levels)-1, PartA, 0, in)
 }
 
-func (ad *Adaptive) walkBase(lvl int, part Part, w uint64, decide func(Comp, uint64, uint64) bool, met *int) uint64 {
-	l := ad.levels[lvl]
-	rel := w - l.ell
-	for s := 0; s < l.base.NumStages(); s++ {
-		a, b, ok := l.base.CompAt(s, rel)
-		if !ok {
-			continue
-		}
-		*met++
-		c := Comp{Level: lvl, Part: part, Stage: s, Low: a + l.ell}
-		if decide(c, a+l.ell, b+l.ell) {
-			rel = a
+// Next returns the comparator met after leaving c on global wire w (one
+// of c's two wires), or ok == false if the walk leaves the network there.
+// The continuation depends only on (c, w): the recursion stack of
+// S_L = A_L · S_{L−1} · C_L is implied by c.Level, since every enclosing
+// level still owes its C part.
+func (ad *Adaptive) Next(c Comp, w uint64) (next Comp, up, down uint64, ok bool) {
+	return ad.seek(c.Level, c.Part, c.Stage+1, w)
+}
+
+// seek resumes the walk of wire w at level lvl, in part (PartA: entering
+// S_lvl, or inside A_lvl from stage s; PartC: inside C_lvl from stage s;
+// PartLeaf: past S_0's comparator) and returns the first comparator met
+// from there on.
+func (ad *Adaptive) seek(lvl int, part Part, s int, w uint64) (Comp, uint64, uint64, bool) {
+	top := len(ad.levels) - 1
+	for {
+		if lvl == 0 {
+			if part == PartA && w <= 1 {
+				return Comp{Level: 0, Part: PartLeaf}, 0, 1, true
+			}
 		} else {
-			rel = b
+			l := &ad.levels[lvl]
+			if part == PartA {
+				if w >= l.ell {
+					if c, up, down, ok := ad.scan(lvl, PartA, s, w); ok {
+						return c, up, down, true
+					}
+				}
+				if w < ad.levels[lvl-1].width {
+					lvl, s = lvl-1, 0 // descend into S_{lvl−1}
+					continue
+				}
+				s = 0 // A_lvl is done and S_{lvl−1} idle: on to C_lvl
+			}
+			if w >= l.ell {
+				if c, up, down, ok := ad.scan(lvl, PartC, s, w); ok {
+					return c, up, down, true
+				}
+			}
+		}
+		// S_lvl is done: ascend into the enclosing level's C part.
+		if lvl == top {
+			return Comp{}, 0, 0, false
+		}
+		lvl, part, s = lvl+1, PartC, 0
+	}
+}
+
+// scan returns the first comparator of base part A_lvl or C_lvl touching
+// global wire w at stage s or later.
+func (ad *Adaptive) scan(lvl int, part Part, s int, w uint64) (Comp, uint64, uint64, bool) {
+	l := &ad.levels[lvl]
+	rel := w - l.ell
+	for n := l.base.NumStages(); s < n; s++ {
+		if a, b, ok := l.base.CompAt(s, rel); ok {
+			up := a + l.ell
+			return Comp{Level: lvl, Part: part, Stage: s, Low: up}, up, b + l.ell, true
 		}
 	}
-	return rel + l.ell
+	return Comp{}, 0, 0, false
 }
 
 // Flatten materializes S_L explicitly (small widths only), by composing the

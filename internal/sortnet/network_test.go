@@ -187,46 +187,108 @@ func TestAdaptiveFlattenSorts(t *testing.T) {
 
 // TestAdaptiveWalkMatchesFlatten is the keystone test: the lazy Walk must
 // route a tagged token exactly as the materialized network does, for every
-// entry wire, over random 0-1 value assignments.
+// entry wire, over random 0-1 value assignments, meeting exactly the
+// comparators the token meets in the materialized network, in stage order.
+// Width 256 reaches level 3, whose A/C parts are base networks on 248
+// wires, so every descend into and ascend out of S_0..S_2 is exercised;
+// both bases are covered.
 func TestAdaptiveWalkMatchesFlatten(t *testing.T) {
-	ad := NewAdaptive(15) // width 16, three nontrivial levels
-	net := ad.Flatten()
-	w := net.W
-	r := rand.New(rand.NewSource(42))
+	for _, tc := range []struct {
+		base    Base
+		maxWire uint64
+		trials  int
+	}{
+		{BaseOEM, 15, 200},
+		{BaseBalanced, 15, 200},
+		{BaseOEM, 255, 40},
+		{BaseBalanced, 255, 40},
+	} {
+		ad := NewAdaptiveWithBase(tc.maxWire, tc.base)
+		net := ad.Flatten()
+		stageOf := flattenStageIndex(ad)
+		r := rand.New(rand.NewSource(42))
+		for trial := 0; trial < tc.trials; trial++ {
+			vals := make([]int, net.W)
+			for i := range vals {
+				vals[i] = r.Intn(2)
+			}
+			final, evolution, wantMet := routeTokens(net, vals)
+			for entry := 0; entry < net.W; entry++ {
+				last := -1
+				gotOut, met := ad.Walk(uint64(entry), func(c Comp, up, down uint64) bool {
+					g, ok := stageOf[compKey{c.Level, c.Part, c.Stage}]
+					if !ok {
+						t.Fatalf("%v width %d: walk met comparator %+v not present in flatten", tc.base, net.W, c)
+					}
+					if g <= last {
+						t.Fatalf("%v width %d entry %d: comparator %+v at stage %d after stage %d", tc.base, net.W, entry, c, g, last)
+					}
+					last = g
+					pre := evolution[g]
+					// The token must actually be on one of the comparator wires.
+					my, other := pre[up], pre[down]
+					if my != entry && other != entry {
+						t.Fatalf("%v width %d trial %d entry %d: token not at comparator %+v", tc.base, net.W, trial, entry, c)
+					}
+					valUp := valueAt(vals, pre, up)
+					valDown := valueAt(vals, pre, down)
+					if my == entry {
+						return valUp <= valDown // ties stay put: token keeps the up wire
+					}
+					return valDown < valUp // token on the down wire moves up only if strictly smaller
+				})
+				if int(gotOut) != final[entry] {
+					t.Fatalf("%v width %d trial %d entry %d: walk output %d, reference %d", tc.base, net.W, trial, entry, gotOut, final[entry])
+				}
+				if met != wantMet[entry] {
+					t.Fatalf("%v width %d trial %d entry %d: walk met %d comparators, reference %d", tc.base, net.W, trial, entry, met, wantMet[entry])
+				}
+			}
+		}
+	}
+}
 
-	for trial := 0; trial < 200; trial++ {
-		vals := make([]int, w)
-		for i := range vals {
-			vals[i] = r.Intn(2)
-		}
-		for entry := 0; entry < w; entry++ {
-			wantOut, evolution := routeToken(net, vals, entry)
-			stageOf := flattenStageIndex(ad)
-			gotOut, met := ad.Walk(uint64(entry), func(c Comp, up, down uint64) bool {
-				g, ok := stageOf[compKey{c.Level, c.Part, c.Stage}]
-				if !ok {
-					t.Fatalf("walk met comparator %+v not present in flatten", c)
-				}
-				pre := evolution[g]
-				// The token must actually be on one of the comparator wires.
-				my, other := pre[up], pre[down]
-				if my != entry && other != entry {
-					t.Fatalf("trial %d entry %d: token not at comparator %+v", trial, entry, c)
-				}
-				valUp := valueAt(vals, pre, up)
-				valDown := valueAt(vals, pre, down)
-				if my == entry {
-					return valUp <= valDown // ties stay put: token keeps the up wire
-				}
-				return valDown < valUp // token on the down wire moves up only if strictly smaller
-			})
-			if int(gotOut) != wantOut {
-				t.Fatalf("trial %d entry %d: walk output %d, reference %d", trial, entry, gotOut, wantOut)
-			}
-			if lim := ad.DepthOfLevel(ad.Levels()); met > lim {
-				t.Fatalf("entry %d met %d comparators > depth %d", entry, met, lim)
+// TestCompKeyRoundTrip pins the Comp.Key packing on the network's
+// boundary comparators: the leaf, the last stage of each level-5 base,
+// and the widest Low. Renamers identify comparator objects by key, so a
+// collision would silently alias two comparators.
+func TestCompKeyRoundTrip(t *testing.T) {
+	oem := SharedAdaptive(BaseOEM)
+	bal := SharedAdaptive(BaseBalanced)
+	if d := oem.levels[5].base.NumStages(); d != 528 {
+		t.Fatalf("level-5 OEM depth %d, want 528", d)
+	}
+	lastOEM, lastBal := 527, bal.levels[5].base.NumStages()-1
+	comps := []Comp{{Level: 0, Part: PartLeaf}}
+	for _, part := range []Part{PartA, PartC} {
+		for _, stage := range []int{0, lastOEM, lastBal} {
+			for _, low := range []uint64{0, 1, 1 << 15, MaxAdaptiveWire - 1, MaxAdaptiveWire} {
+				comps = append(comps, Comp{Level: 5, Part: part, Stage: stage, Low: low})
 			}
 		}
+		for lvl := 1; lvl < 5; lvl++ {
+			comps = append(comps, Comp{Level: lvl, Part: part, Stage: 0, Low: 1})
+		}
+	}
+	seen := make(map[uint64]Comp, len(comps))
+	for _, c := range comps {
+		k := c.Key()
+		if got := CompOfKey(k); got != c {
+			t.Fatalf("CompOfKey(%#x) = %+v, want %+v", k, got, c)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("key %#x shared by %+v and %+v", k, prev, c)
+		}
+		seen[k] = c
+	}
+	// The last comparator each walk meets on the widest wire decodes too.
+	for _, ad := range []*Adaptive{oem, bal} {
+		ad.Walk(MaxAdaptiveWire, func(c Comp, _, _ uint64) bool {
+			if got := CompOfKey(c.Key()); got != c {
+				t.Fatalf("CompOfKey(%+v.Key()) = %+v", c, got)
+			}
+			return false
+		})
 	}
 }
 
@@ -261,36 +323,38 @@ func flattenStageIndex(ad *Adaptive) map[compKey]int {
 	return idx
 }
 
-// routeToken runs the explicit network over vals while tracking which
-// original wire's token sits on each wire before each global stage.
-// It returns the tagged token's final wire and the per-stage snapshots
-// (evolution[g][w] = original wire of the token on wire w before stage g).
-func routeToken(net *Network, vals []int, entry int) (int, [][]int) {
+// routeTokens runs the explicit network over vals, tagging every wire's
+// token with its original wire. It returns each token's final wire, the
+// per-stage snapshots (evolution[g][w] = original wire of the token on wire
+// w before stage g), and how many comparators each token met.
+func routeTokens(net *Network, vals []int) (final []int, evolution [][]int, met []int) {
 	w := net.W
 	pos := make([]int, w) // pos[wire] = original index of token currently there
 	cur := make([]int, w)
+	met = make([]int, w)
 	for i := 0; i < w; i++ {
 		pos[i] = i
 		cur[i] = vals[i]
 	}
-	evolution := make([][]int, 0, len(net.Stages))
+	evolution = make([][]int, 0, len(net.Stages))
 	for _, stage := range net.Stages {
 		snap := make([]int, w)
 		copy(snap, pos)
 		evolution = append(evolution, snap)
 		for _, c := range stage {
+			met[pos[c.A]]++
+			met[pos[c.B]]++
 			if cur[c.A] > cur[c.B] {
 				cur[c.A], cur[c.B] = cur[c.B], cur[c.A]
 				pos[c.A], pos[c.B] = pos[c.B], pos[c.A]
 			}
 		}
 	}
+	final = make([]int, w)
 	for wire, orig := range pos {
-		if orig == entry {
-			return wire, evolution
-		}
+		final[orig] = wire
 	}
-	panic("routeToken: token lost")
+	return final, evolution, met
 }
 
 // valueAt returns the value carried by the token on the given wire in the
