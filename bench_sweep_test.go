@@ -114,8 +114,8 @@ func BenchmarkSweepExecFreshBuild(b *testing.B) {
 }
 
 // BenchmarkSweepThroughput runs the full engine — stealing deques, arenas,
-// accumulators — at the -cpu sweep's worker count (the parallel bench.sh
-// pass picks this up by its Throughput suffix).
+// accumulators — at the -cpu sweep's worker count (go test -bench
+// Throughput -cpu 1,2,4 selects it with the other parallel suites).
 func BenchmarkSweepThroughput(b *testing.B) {
 	s, err := renaming.NewSweep(sweepBenchSpace(b.N), renaming.SweepOptions{
 		Workers: runtime.GOMAXPROCS(0), Budget: b.N, NoHarvest: true,

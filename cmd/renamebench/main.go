@@ -27,7 +27,7 @@ func main() {
 	table := flag.String("table", "", "run only the experiment with this ID (e.g. E8)")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown")
 	csv := flag.Bool("csv", false, "emit CSV series for external plotting")
-	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON document per run (see scripts/bench.sh)")
+	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON document per run")
 	flag.Parse()
 
 	if *jsonOut && (*markdown || *csv) {

@@ -90,8 +90,7 @@ func (t *Table) Markdown(w io.Writer) {
 }
 
 // JSONTables writes the tables as one machine-readable JSON document (the
-// renamebench -json format consumed by scripts/bench.sh for the perf
-// trajectory files BENCH_<n>.json).
+// renamebench -json format).
 func JSONTables(w io.Writer, tables []*Table) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

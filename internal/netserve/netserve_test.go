@@ -619,8 +619,5 @@ func TestScenarioOverWire(t *testing.T) {
 	if r.Ops == 0 || r.RemoteErrs != 0 {
 		t.Fatalf("ops=%d remoteErrs=%d", r.Ops, r.RemoteErrs)
 	}
-	if !strings.Contains(r.GoBenchRow(), "/wire") {
-		t.Fatalf("bench row not tagged: %s", r.GoBenchRow())
-	}
 	waitInFlightZero(t, srv)
 }
